@@ -59,7 +59,6 @@ from .monomials import (
     format_ideal,
     format_monomial,
     lcm_lattice,
-    lcm_lattice_by_subsets,
     minimalize,
     parse_generators,
     parse_ideal,

@@ -38,7 +38,6 @@ _CAP_FLAGS = {
     "max-faces": "--max-faces (env LSQUARE_MAX_FACES)",
     "max-taylor": "--max-taylor (env LSQUARE_MAX_TAYLOR)",
     "max-q": "--max-q (env LSQUARE_MAX_Q)",
-    "max-nerve-members": "--max-faces (env LSQUARE_MAX_FACES)",
 }
 
 
@@ -91,7 +90,7 @@ def _parse_ideal_arg(args):
 
 def _check_q_cap(q: int, args) -> None:
     if q > args.max_q:
-        raise ResourceLimit(f"ideal has {q} generators (cap {args.max_q})", "max-q")
+        raise ResourceLimit("ideal has too many generators", "max-q", q, args.max_q)
 
 
 def render_rows(header: list[str], rows: list[tuple[str, list]], fmt: str) -> str:

@@ -26,11 +26,18 @@ from math import gcd
 
 
 class ResourceLimit(RuntimeError):
-    """A configurable resource cap was exceeded; `cap` names the knob."""
+    """A configurable resource cap was exceeded.
 
-    def __init__(self, message: str, cap: str):
-        super().__init__(message)
+    `cap` names the knob, `limit` is its value and `estimate` is the size that
+    tripped it, in the same unit; the message says how far over the cap it was.
+    """
+
+    def __init__(self, message: str, cap: str, estimate: int, limit: int):
+        over = f": {estimate / limit:.1f}x the cap" if limit > 0 else ""
+        super().__init__(f"{message} (estimate {estimate}, cap {limit}{over})")
         self.cap = cap
+        self.estimate = estimate
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,8 @@ class HomologyLimits:
     `max_faces` is the hard cap on enumerated faces; `enumeration_budget` is
     the face-count estimate up to which direct enumeration is always used
     (above it, the smaller of enumeration and nerve reduction is chosen).
+    Families of more than `max_nerve_members` members are always enumerated,
+    so `max_faces` is the only cap a routed computation can hit.
     """
 
     max_faces: int = 1 << 22
@@ -60,12 +69,45 @@ class RationalField:
         return "rational"
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017);
+# characteristics are capped just under that.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MAX_CHARACTERISTIC = 33 * 10**23
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases above, exact for n < _MAX_CHARACTERISTIC."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if self.p >= _MAX_CHARACTERISTIC:
+            raise ValueError(f"gf:p needs p < 3.3e24, got {self.p}")
+        if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     def __str__(self) -> str:
@@ -203,15 +245,23 @@ def estimated_face_count(members: list[int]) -> int:
 
 def enumerate_face_masks(members: list[int], max_faces: int) -> set[int]:
     """All submasks of all members (the faces of the union complex), deduplicated."""
-    if estimated_face_count(members) > 64 * max_faces:
-        raise ResourceLimit("face enumeration would exceed the face cap", "max-faces")
+    estimate = estimated_face_count(members)
+    if estimate > 64 * max_faces:
+        raise ResourceLimit(
+            "face enumeration would exceed the face cap", "max-faces", estimate, max_faces
+        )
     faces: set[int] = set()
     for m in members:
         sub = m
         while True:
             faces.add(sub)
             if len(faces) > max_faces:
-                raise ResourceLimit("face enumeration exceeded the face cap", "max-faces")
+                raise ResourceLimit(
+                    "face enumeration exceeded the face cap",
+                    "max-faces",
+                    estimate,
+                    max_faces,
+                )
             if sub == 0:
                 break
             sub = (sub - 1) & m
@@ -302,7 +352,9 @@ def _nerve_face_masks(members: list[int], max_faces: int) -> set[int]:
                     nxt[fmask | (1 << j)] = inter2
         faces.update(nxt)
         if len(faces) > max_faces:
-            raise ResourceLimit("nerve enumeration exceeded the face cap", "max-faces")
+            raise ResourceLimit(
+                "nerve enumeration exceeded the face cap", "max-faces", 1 << k, max_faces
+            )
         level = nxt
     return faces
 
@@ -337,7 +389,11 @@ def ranks_from_members(
         # route by size estimates: faces of the union vs faces of its nerve
         est_enum = estimated_face_count(live)
         est_nerve = 1 << len(live)
-        if est_enum <= limits.enumeration_budget or est_enum <= est_nerve:
+        if (
+            est_enum <= limits.enumeration_budget
+            or est_enum <= est_nerve
+            or len(live) > limits.max_nerve_members
+        ):
             mode = "enumerate"
         else:
             mode = "nerve"
@@ -347,12 +403,6 @@ def ranks_from_members(
         return ranks_from_face_masks(enumerate_face_masks(live, limits.max_faces), field)
     if mode != "nerve":
         raise ValueError(f"unknown strategy {mode!r}")
-    if len(live) > limits.max_nerve_members:
-        raise ResourceLimit(
-            "complex too large: face enumeration over budget and too many "
-            "facets for the nerve reduction",
-            "max-nerve-members",
-        )
     nerve_ranks = ranks_from_face_masks(_nerve_face_masks(live, limits.max_faces), field)
     out = {d: 0 for d in range(-1, dim + 1)}
     for d, r in nerve_ranks.items():

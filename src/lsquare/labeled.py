@@ -22,7 +22,7 @@ from . import complexes as cx
 from . import homology as hml
 from .complexes import SimplicialComplex
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS, ResourceLimit
-from .monomials import Monomial, MonomialIdeal, VariableTable, lcm_lattice
+from .monomials import Monomial, MonomialIdeal, VariableTable
 
 
 class NotQuasiForest(ValueError):
@@ -124,8 +124,7 @@ def taylor_complex(
     """The full simplex on the minimal generators, vertex i labeled by generator i."""
     if ideal.q > max_vertices:
         raise ResourceLimit(
-            f"Taylor complex would have {ideal.q} vertices (cap {max_vertices})",
-            "max-taylor",
+            "Taylor complex has too many vertices", "max-taylor", ideal.q, max_vertices
         )
     facet = frozenset(range(ideal.q))
     return LabeledComplex(
@@ -181,10 +180,6 @@ class SupportReport:
         return f"FAIL ({self.criterion}; witness {self.witness}{extra})"
 
 
-def _sorted_lattice(ideal: MonomialIdeal) -> list[Monomial]:
-    return sorted(lcm_lattice(ideal), key=Monomial.sort_key)
-
-
 def supports_resolution_quasitree(
     lab: LabeledComplex, ideal: MonomialIdeal
 ) -> SupportReport:
@@ -199,7 +194,7 @@ def supports_resolution_quasitree(
             "connectivity criterion is inapplicable: the complex is not a quasi-forest"
         )
     _verts, _exps, facet_masks = lab._view
-    for m in _sorted_lattice(ideal):
+    for m in ideal.sorted_lattice:
         vm = lab._divisor_mask(m)
         verdict = hml.connected_from_members([fm & vm for fm in facet_masks])
         if verdict is False:
@@ -217,7 +212,7 @@ def supports_resolution_homological(
     _check_labels_match(lab, ideal)
     _verts, _exps, facet_masks = lab._view
     name = f"homological over {field}"
-    for m in _sorted_lattice(ideal):
+    for m in ideal.sorted_lattice:
         vm = lab._divisor_mask(m)
         members = [fm & vm for fm in facet_masks]
         if not any(members):
@@ -295,7 +290,7 @@ def betti_numbers(
             raise UnsupportedComplex(report.witness, report.witness_dim)
     graded: dict[tuple[int, Monomial], int] = {}
     total: dict[int, int] = {}
-    for m in _sorted_lattice(ideal):
+    for m in ideal.sorted_lattice:
         # all-zero member masks mean only the empty face survives, giving the
         # rank-1 contribution at homological dimension -1 (so beta_{0,m} = 1)
         ranks = hml.ranks_from_members(lab._strict_members(m), field, limits)

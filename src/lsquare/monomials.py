@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 
@@ -205,40 +206,60 @@ class MonomialIdeal:
             products.append(m)
         return MonomialIdeal(self.table, tuple(minimalize(products)))
 
+    @cached_property
+    def sorted_lattice(self) -> tuple[Monomial, ...]:
+        """`lcm_lattice(self)` sorted by exponent vector, computed once per ideal."""
+        return tuple(sorted(lcm_lattice(self), key=Monomial.sort_key))
+
     def __str__(self) -> str:
         return format_ideal(self)
 
 
-# The set of lcms of all nonempty generator subsets.  Closing the generator set
-# under joins with single generators reaches every subset lcm without scanning
-# 2^q subsets.
 def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Monomial]:
-    seen = set(ideal.gens)
-    frontier = list(ideal.gens)
+    """The lcms of all nonempty generator subsets.
+
+    Closing the generator set under joins with single generators reaches every
+    subset lcm without scanning 2^q subsets.  The closure runs on one int per
+    monomial.  Variable k owns a lane with one bit per distinct nonzero
+    exponent of x_k among the generators, and an exponent of rank r in that
+    list is written as r low one-bits (a thermometer code).  Codes are nested
+    within a lane, so the lcm of two monomials is the bitwise or of their
+    codes.  A lane is at most q bits wide however large the exponents are.
+    """
+    gens = ideal.gens
+    codes = [0] * len(gens)
+    lanes = []  # (shift, lane mask, exponent of each rank)
+    shift = 0
+    for k in range(ideal.table.n):
+        levels = sorted({0, *(g.exponents[k] for g in gens)})
+        rank = {e: r for r, e in enumerate(levels)}
+        for i, g in enumerate(gens):
+            codes[i] |= ((1 << rank[g.exponents[k]]) - 1) << shift
+        width = len(levels) - 1
+        lanes.append((shift, (1 << width) - 1, levels))
+        shift += width
+
+    seen = set(codes)
+    frontier = codes
     while frontier:
         fresh = []
         for a in frontier:
-            for g in ideal.gens:
-                c = a.lcm(g)
+            for g in codes:
+                c = a | g
                 if c not in seen:
                     seen.add(c)
                     fresh.append(c)
         frontier = fresh
-    return frozenset(seen)
 
-
-def lcm_lattice_by_subsets(ideal: MonomialIdeal) -> frozenset[Monomial]:
-    """Reference computation by explicit subset enumeration (2^q - 1 subsets)."""
-    if ideal.q > 20:
-        raise ValueError("subset enumeration is limited to 20 generators")
-    out = set()
-    for size in range(1, ideal.q + 1):
-        for combo in itertools.combinations(ideal.gens, size):
-            m = combo[0]
-            for g in combo[1:]:
-                m = m.lcm(g)
-            out.add(m)
-    return frozenset(out)
+    # a lane holding 2^r - 1 has bit length r, the rank of its exponent
+    table = ideal.table
+    return frozenset(
+        Monomial(
+            table,
+            tuple(levels[((c >> lo) & mask).bit_length()] for lo, mask, levels in lanes),
+        )
+        for c in seen
+    )
 
 
 # ---------------------------------------------------------------------------

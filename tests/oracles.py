@@ -116,3 +116,19 @@ def brute_connected(facets):
                 seen.add(w)
                 queue.append(w)
     return seen == verts
+
+
+def lcm_lattice_by_subsets(ideal):
+    """The lcm lattice by explicit enumeration of all 2^q - 1 generator subsets.
+
+    Lcms are taken as entrywise maxima of exponent tuples, so this shares only
+    the `Monomial` value type with the packed closure in the package.
+    """
+    if ideal.q > 20:
+        raise ValueError("subset enumeration is limited to 20 generators")
+    rows = [g.exponents for g in ideal.gens]
+    out = set()
+    for size in range(1, len(rows) + 1):
+        for combo in combinations(rows, size):
+            out.add(tuple(max(col) for col in zip(*combo)))
+    return frozenset(ideal.table.monomial(exps) for exps in out)

@@ -161,6 +161,30 @@ def test_resource_cap_exit_three(capsys):
     assert "--max-faces" in err or "max-faces" in err
 
 
+def test_resource_cap_message_says_how_far_over(capsys):
+    code, _, err = run(capsys, "bounds", "a,b,c,d,e,f,g,h")
+    assert code == 3
+    assert "(estimate 8, cap 7: 1.1x the cap)" in err
+    assert err.rstrip().endswith("raise --max-q (env LSQUARE_MAX_Q)")
+
+    code, _, err = run(
+        capsys, "betti", "--power", "2", "x^2,y^2,z^2,w^2,v^2", "--max-taylor", "12"
+    )
+    assert code == 3
+    assert "(estimate 15, cap 12: 1.2x the cap)" in err
+    assert "raise --max-taylor" in err
+
+    code, _, err = run(capsys, "betti", "x,y", "--max-q", "0")
+    assert code == 3
+    assert "(estimate 2, cap 0); raise --max-q" in err
+
+
+def test_huge_field_characteristic_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "betti", "x,y", "--field", f"gf:{2**89 - 1}")
+    assert code == 1
+    assert "3.3e24" in err and "Traceback" not in err
+
+
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("LSQUARE_MAX_Q", "3")
     code, _, err = run(capsys, "power", "x,y,z,w")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from lsquare.homology import (
     PrimeField,
     RATIONALS,
     ResourceLimit,
+    _is_prime,
     enumerate_face_masks,
     maximal_masks,
     parse_field,
@@ -100,6 +102,40 @@ def test_enumeration_cap():
     with pytest.raises(ResourceLimit) as err:
         enumerate_face_masks([(1 << 30) - 1], max_faces=1000)
     assert err.value.cap == "max-faces"
+    assert (err.value.estimate, err.value.limit) == (1 << 30, 1000)
+    assert "estimate 1073741824, cap 1000" in str(err.value)
+
+
+def test_enumeration_cap_reports_the_estimate_when_enumeration_overruns():
+    members = [0b111111, 0b111111 << 6]  # 2 * 64 faces counting repeats
+    with pytest.raises(ResourceLimit) as err:
+        enumerate_face_masks(members, max_faces=100)
+    assert (err.value.estimate, err.value.limit) == (128, 100)
+
+
+def test_nerve_cap_falls_back_to_enumeration():
+    # three disjoint tetrahedra: over the enumeration budget, and the nerve
+    # estimate (2^3) is below the face estimate (3 * 2^4), so the nerve route
+    # is preferred but has more members than its cap allows
+    members = [0b1111, 0b1111 << 4, 0b1111 << 8]
+    tight = HomologyLimits(enumeration_budget=1, max_nerve_members=2)
+    for field in (RATIONALS, PrimeField(2)):
+        want = ranks_from_members(members, field, force="enumerate")
+        assert want == {-1: 0, 0: 2, 1: 0, 2: 0, 3: 0}
+        assert ranks_from_members(members, field, tight) == want
+
+
+def test_nerve_fallback_reports_the_face_cap():
+    members = [0b1111, 0b1111 << 4, 0b1111 << 8]
+    tight = HomologyLimits(max_faces=20, enumeration_budget=1, max_nerve_members=2)
+    with pytest.raises(ResourceLimit) as err:
+        ranks_from_members(members, RATIONALS, tight)
+    assert err.value.cap == "max-faces"
+    assert (err.value.estimate, err.value.limit) == (48, 20)
+    # the nerve's own face cap reports the 2^3 subfamilies as its estimate
+    with pytest.raises(ResourceLimit) as err:
+        ranks_from_members(members, RATIONALS, HomologyLimits(max_faces=3), force="nerve")
+    assert (err.value.cap, err.value.estimate, err.value.limit) == ("max-faces", 8, 3)
 
 
 def test_homology_respects_face_cap():
@@ -126,6 +162,31 @@ def test_rank_functions_match_dense_oracle():
             sum(1 << j for j, v in enumerate(row) if v % 2) for row in dense
         ]
         assert rank_gf2(bits) == dense_rank(dense, p=2)
+
+
+def test_prime_field_is_fast_on_large_primes():
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_field_rejects_composites_and_huge_p():
+    # a Carmichael number, and strong pseudoprimes to the bases 2..7 and 2..23
+    for p in (0, 1, 4, 561, 3215031751, 3825123056546413051, (2**31 - 1) ** 2):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(p)
+    for p in (2, 3, 41, 43, 2**31 - 1, 2**61 - 1, 2**79 - 67):
+        assert PrimeField(p).p == p
+    with pytest.raises(ValueError, match="3.3e24"):
+        PrimeField(2**89 - 1)
+
+
+def test_primality_matches_trial_division():
+    def naive(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in range(5000):
+        assert _is_prime(n) == naive(n), n
 
 
 def test_parse_field():

@@ -1,5 +1,7 @@
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lsquare.monomials import (
     Monomial,
@@ -10,12 +12,13 @@ from lsquare.monomials import (
     format_ideal,
     format_monomial,
     lcm_lattice,
-    lcm_lattice_by_subsets,
     minimalize,
     parse_generators,
     parse_ideal,
     parse_monomial,
 )
+
+from oracles import lcm_lattice_by_subsets
 
 ABC = VariableTable(("a", "b", "c"))
 
@@ -211,6 +214,25 @@ def test_lcm_lattice_closure_matches_subset_enumeration():
     assert lcm_lattice(big) == lcm_lattice_by_subsets(big)
 
 
+def test_lcm_lattice_with_huge_exponents_closes_fast():
+    # lanes are as wide as the number of distinct exponents, not their size
+    table = VariableTable(("x", "y", "z", "w"))
+    gens = [
+        (10**6, 3, 0, 1),
+        (7, 10**6 + 1, 2, 0),
+        (0, 999_999, 10**6 + 5, 4),
+        (999_998, 0, 11, 10**6),
+        (5, 2, 10**6 - 3, 999_997),
+        (10**6 + 2, 10**6 + 3, 1, 0),
+    ]
+    ideal = MonomialIdeal.minimal([table.monomial(e) for e in gens])
+    start = time.perf_counter()
+    lattice = lcm_lattice(ideal)
+    assert time.perf_counter() - start < 1.0
+    assert lattice == lcm_lattice_by_subsets(ideal)
+    assert ideal.sorted_lattice == tuple(sorted(lattice, key=Monomial.sort_key))
+
+
 # -- property tests -----------------------------------------------------------
 
 small_monomials = st.builds(
@@ -252,3 +274,20 @@ def test_square_generators_come_from_pair_products(seed):
     }
     assert set(square.gens) <= products
     assert all(any(g.divides(p) for g in square.gens) for p in products)
+
+
+@st.composite
+def exponent_ideals(draw):
+    n = draw(st.integers(1, 6))
+    table = VariableTable(tuple("abcdef"[:n]))
+    rows = draw(
+        st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=7)
+    )
+    return MonomialIdeal.minimal([table.monomial(r) for r in rows])
+
+
+@settings(max_examples=200)
+@given(exponent_ideals())
+def test_packed_lattice_matches_subset_enumeration(ideal):
+    assume(not ideal.is_squarefree())
+    assert lcm_lattice(ideal) == lcm_lattice_by_subsets(ideal)
