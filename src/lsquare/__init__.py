@@ -44,8 +44,6 @@ from .labeled import (
     UnsupportedComplex,
     betti_numbers,
     betti_upper_bounds,
-    restrict_divides,
-    restrict_strict,
     supports_resolution_homological,
     supports_resolution_quasitree,
     taylor_complex,

@@ -2,9 +2,12 @@
 
 The engine works on bitmasks: a complex is handed over as a list of "member"
 masks, each the vertex set of a simplex, whose union is the complex (the facet
-list is always such a family).  Three strategies are used, cheapest first:
+list is always such a family).  Three steps are used, cheapest first:
 
-* cone shortcut: a vertex common to all members makes the complex acyclic;
+* strong-collapse core: dominated vertices are deleted until none is left
+  (a vertex common to all members, a cone, is the one-step case); a core that
+  is a single simplex is acyclic, and anything else goes on to the routes
+  below with fewer faces and fewer members;
 * face enumeration: list every face, build sparse boundary matrices, and take
   exact ranks (integer fraction-free elimination over Q, bit-rows over GF(2));
 * nerve reduction: when the face count would blow up but the member count is
@@ -325,8 +328,18 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
 
 
 def maximal_masks(members) -> list[int]:
-    uniq = sorted({m for m in members if m})
-    return [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
+    """The nonzero masks not inside another one, deduplicated, in ascending order.
+
+    A mask inside another is inside a maximal one of at least its size, so
+    each mask is only tested against the maximal masks kept before it, largest
+    first.
+    """
+    keep: list[int] = []
+    for m in sorted({m for m in members if m}, key=int.bit_count, reverse=True):
+        if all(m & k != m for k in keep):
+            keep.append(m)
+    keep.sort()
+    return keep
 
 
 def _nerve_face_masks(members: list[int], max_faces: int) -> set[int]:
@@ -359,6 +372,58 @@ def _nerve_face_masks(members: list[int], max_faces: int) -> set[int]:
     return faces
 
 
+def strong_core(members: list[int]) -> list[int]:
+    """The strong-collapse core of the union of simplexes on `members`.
+
+    `members` is a nonempty list of maximal masks (as `maximal_masks` returns
+    them), and so is the result.  A vertex v is dominated when some other vertex v' lies
+    in every member that contains v (Barmak and Minian, Strong homotopy types,
+    nerves and collapses, Discrete Comput. Geom. 47, 2012).  Dominated
+    vertices are deleted one at a time until none is left, so a single edge
+    keeps one of its two vertices.
+
+    Deleting a dominated vertex v keeps the reduced homology over every
+    field.  Write K = (K - v) u st(v), with K - v the subcomplex induced on the
+    other vertices and st(v) the closed star of v; then st(v) n (K - v) =
+    lk(v).  A face t of lk(v) lies with v in some facet, which also holds v',
+    so t u {v'} is in lk(v): the link is a cone on v'.  The star is a cone on
+    v.  Both are acyclic with any coefficients, so the reduced Mayer-Vietoris
+    sequence of K = (K - v) u st(v) gives H~_d(K - v) = H~_d(K) for every d,
+    over Q, GF(2) and every GF(p) alike.
+
+    The first step is the cone test: a vertex c common to all members
+    dominates every other vertex, and the core is the point {c}.  Otherwise
+    each pass takes, for every vertex, the AND of the members containing it,
+    and walks the vertices in order.  With D the vertices deleted so far in
+    the pass, that AND minus D lies inside the vertex's current star (current
+    facets are maximal among the member masks minus D), so a vertex whose AND
+    minus D holds another vertex is dominated and is deleted.  The pass ends
+    with `maximal_masks` on the members minus D; the core is reached when a
+    pass deletes nothing.
+    """
+    live = list(members)
+    while True:
+        common = live[0]
+        for m in live[1:]:
+            common &= m
+        if common:
+            return [common & -common]
+        star: dict[int, int] = {}
+        for m in live:
+            rest = m
+            while rest:
+                low = rest & -rest
+                star[low] = star.get(low, m) & m
+                rest ^= low
+        dead = 0
+        for low in sorted(star):
+            if star[low] & ~dead != low:
+                dead |= low
+        if not dead:
+            return live
+        live = maximal_masks([m & ~dead for m in live])
+
+
 def ranks_from_members(
     members,
     field: Field = RATIONALS,
@@ -367,9 +432,12 @@ def ranks_from_members(
 ) -> dict[int, int]:
     """Reduced homology ranks of the union of simplexes on the given vertex masks.
 
-    `force` pins the strategy to "enumerate" or "nerve" (used by cross-checks);
-    by default enumeration is used when the face-count estimate fits the
-    budget and the nerve reduction otherwise.
+    By default the family is first shrunk to its `strong_core`, which has the
+    same reduced homology; a core that is one simplex is acyclic.  The core is
+    enumerated when its face-count estimate fits the budget, and handed to the
+    nerve reduction otherwise.  `force` pins the strategy to "enumerate" or
+    "nerve" on the unreduced family (used by cross-checks).  Keys run from -1
+    to the dimension of the whole complex either way.
     """
     members = list(members)
     if not members:
@@ -378,14 +446,12 @@ def ranks_from_members(
     if not live:
         return {-1: 1}
     dim = max(m.bit_count() for m in live) - 1
-
-    common = live[0]
-    for m in live[1:]:
-        common &= m
-    if common and force is None:
-        return {d: 0 for d in range(-1, dim + 1)}
+    out = {d: 0 for d in range(-1, dim + 1)}
 
     if force is None:
+        live = strong_core(live)
+        if len(live) == 1:
+            return out
         # route by size estimates: faces of the union vs faces of its nerve
         est_enum = estimated_face_count(live)
         est_nerve = 1 << len(live)
@@ -400,16 +466,16 @@ def ranks_from_members(
     else:
         mode = force
     if mode == "enumerate":
-        return ranks_from_face_masks(enumerate_face_masks(live, limits.max_faces), field)
-    if mode != "nerve":
+        ranks = ranks_from_face_masks(enumerate_face_masks(live, limits.max_faces), field)
+    elif mode == "nerve":
+        ranks = ranks_from_face_masks(_nerve_face_masks(live, limits.max_faces), field)
+    else:
         raise ValueError(f"unknown strategy {mode!r}")
-    nerve_ranks = ranks_from_face_masks(_nerve_face_masks(live, limits.max_faces), field)
-    out = {d: 0 for d in range(-1, dim + 1)}
-    for d, r in nerve_ranks.items():
+    for d, r in ranks.items():
         if d <= dim:
             out[d] = r
         elif r:
-            raise AssertionError("nerve has homology above the complex dimension")
+            raise AssertionError("homology above the complex dimension")
     return out
 
 

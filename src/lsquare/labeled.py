@@ -134,30 +134,6 @@ def taylor_complex(
     )
 
 
-def restrict_divides(lab: LabeledComplex, m: Monomial) -> LabeledComplex:
-    """The subcomplex induced on the vertices whose labels divide m."""
-    keep = {v for v in lab.complex.vertices if lab.labels[v].divides(m)}
-    sub = cx.induced_subcomplex(lab.complex, keep, warn_unknown=False)
-    return LabeledComplex(sub, {v: lab.labels[v] for v in keep}, lab.table)
-
-
-def restrict_strict(lab: LabeledComplex, m: Monomial) -> LabeledComplex:
-    """The subcomplex of faces whose label strictly divides m.
-
-    This is a face-filtered subcomplex, not an induced one: a face can consist
-    of strict divisors yet have label exactly m.
-    """
-    if lab.complex.is_void:
-        return lab
-    members = lab._strict_members(m)
-    verts = sorted(lab.complex.vertices)
-    facets = [frozenset(verts[b] for b in hml._bits(mask)) for mask in members]
-    if not m.is_one:
-        facets.append(frozenset())
-    sub = SimplicialComplex.from_facets(facets)
-    return LabeledComplex(sub, {v: lab.labels[v] for v in sub.vertices}, lab.table)
-
-
 def _check_labels_match(lab: LabeledComplex, ideal: MonomialIdeal) -> None:
     labels = list(lab.labels.values())
     if len(labels) != len(ideal.gens) or set(labels) != set(ideal.gens):

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used to check the production code paths.
 
-Everything here is deliberately naive and shares no code with the package:
-faces come from itertools over explicit vertex tuples, matrices are dense
-lists, and ranks are computed with Fraction (or mod-p) Gaussian elimination.
+Everything here is deliberately naive and shares no code with the package
+beyond its value types: faces come from itertools over explicit vertex tuples,
+matrices are dense lists, ranks are computed with Fraction (or mod-p) Gaussian
+elimination, and restrictions filter explicit faces by their labels.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from lsquare.complexes import SimplicialComplex
+from lsquare.labeled import LabeledComplex
 
 
 def brute_faces(facets):
@@ -132,3 +136,46 @@ def lcm_lattice_by_subsets(ideal):
         for combo in combinations(rows, size):
             out.add(tuple(max(col) for col in zip(*combo)))
     return frozenset(ideal.table.monomial(exps) for exps in out)
+
+
+def _label_exponents(lab, face):
+    """Exponents of the lcm of the face's vertex labels (zeros for the empty face)."""
+    rows = [lab.labels[v].exponents for v in face]
+    if not rows:
+        return (0,) * lab.table.n
+    return tuple(max(col) for col in zip(*rows))
+
+
+def _restrict_faces(lab, faces):
+    sub = SimplicialComplex.from_facets(faces)
+    return LabeledComplex(sub, {v: lab.labels[v] for v in sub.vertices}, lab.table)
+
+
+def restrict_divides(lab, m):
+    """The subcomplex induced on the vertices whose labels divide m.
+
+    Kept faces are the explicit faces all of whose vertex labels divide m.
+    """
+    target = m.exponents
+    keep = {
+        v
+        for v in lab.complex.vertices
+        if all(a <= b for a, b in zip(lab.labels[v].exponents, target))
+    }
+    faces = brute_faces(lab.complex.facets)
+    return _restrict_faces(lab, [f for f in faces if set(f) <= keep])
+
+
+def restrict_strict(lab, m):
+    """The subcomplex of faces whose label strictly divides m.
+
+    This is a face-filtered subcomplex, not an induced one: a face can consist
+    of strict divisors yet have label exactly m.
+    """
+    target = m.exponents
+    kept = []
+    for f in brute_faces(lab.complex.facets):
+        label = _label_exponents(lab, f)
+        if label != target and all(a <= b for a, b in zip(label, target)):
+            kept.append(f)
+    return _restrict_faces(lab, kept)

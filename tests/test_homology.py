@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsquare.complexes import SimplicialComplex, reduced_homology_ranks
 from lsquare.homology import (
@@ -17,6 +18,7 @@ from lsquare.homology import (
     rank_gfp,
     rank_rational,
     ranks_from_members,
+    strong_core,
 )
 
 from oracles import brute_reduced_homology, dense_rank
@@ -94,6 +96,73 @@ def test_members_engine_edge_cases():
     assert all(r == 0 for r in ranks.values())
 
 
+def masks_of(*facets):
+    return maximal_masks([sum(1 << v for v in f) for f in facets])
+
+
+RP2 = (
+    {0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 1, 5},
+    {1, 2, 4}, {2, 3, 5}, {1, 3, 4}, {2, 4, 5}, {1, 3, 5},
+)
+
+
+def test_strong_core_reduces_a_cone_to_one_member():
+    assert strong_core(masks_of({0, 1}, {0, 2})) == [0b001]
+    # a cone on vertex 3 over a hollow triangle
+    core = strong_core(masks_of({0, 1, 3}, {1, 2, 3}, {0, 2, 3}))
+    assert len(core) == 1 and core[0].bit_count() == 1
+
+
+def test_strong_core_collapses_a_path_that_is_not_a_cone():
+    core = strong_core(masks_of({0, 1}, {1, 2}, {2, 3}))
+    assert len(core) == 1 and core[0].bit_count() == 1
+
+
+def test_strong_core_keeps_complexes_without_dominated_vertices():
+    for facets in (
+        ({0, 1}, {1, 2}, {0, 2}),  # hollow triangle
+        ({0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}),  # tetrahedron boundary
+        RP2,
+    ):
+        live = masks_of(*facets)
+        assert strong_core(live) == live
+
+
+def test_strong_core_deletes_one_vertex_at_a_time():
+    # each end of an edge dominates the other; deleting both would leave the
+    # void complex, so exactly one vertex must survive
+    for edge in (0b11, 0b101000):
+        core = strong_core([edge])
+        assert len(core) == 1 and core[0].bit_count() == 1 and core[0] & edge
+
+
+def test_strong_core_shrinks_a_circle_with_a_whisker():
+    # a hollow square with a pendant edge: the whisker collapses away
+    square = masks_of({0, 1}, {1, 2}, {2, 3}, {0, 3})
+    assert strong_core(masks_of({0, 1}, {1, 2}, {2, 3}, {0, 3}, {3, 4})) == square
+
+
+# members of at most six of nine vertices keep the dense oracle quick; a
+# budget of one face makes the router weigh the nerve against enumeration
+member_families = st.lists(
+    st.sets(st.integers(0, 8), max_size=6).map(lambda vs: sum(1 << v for v in vs)),
+    max_size=7,
+)
+NERVE_WHEN_SMALLER = HomologyLimits(enumeration_budget=1)
+
+
+@given(member_families)
+@settings(max_examples=100, deadline=None)
+def test_routed_ranks_agree_with_forced_routes_and_the_oracle(members):
+    facets = [tuple(b for b in range(9) if m >> b & 1) for m in members]
+    for field, p in ((RATIONALS, None), (PrimeField(2), 2), (PrimeField(3), 3)):
+        want = brute_reduced_homology(facets, p=p)
+        assert ranks_from_members(members, field) == want
+        assert ranks_from_members(members, field, NERVE_WHEN_SMALLER) == want
+        assert ranks_from_members(members, field, force="enumerate") == want
+        assert ranks_from_members(members, field, force="nerve") == want
+
+
 def test_maximal_masks():
     assert maximal_masks([0b01, 0b11, 0b11, 0, 0b100]) == [0b11, 0b100]
 
@@ -113,29 +182,36 @@ def test_enumeration_cap_reports_the_estimate_when_enumeration_overruns():
     assert (err.value.estimate, err.value.limit) == (128, 100)
 
 
+def simplex_boundary(n):
+    """Boundary of the simplex on n vertices: no vertex is dominated, so the
+    strong-collapse core leaves it whole."""
+    full = (1 << n) - 1
+    return [full ^ (1 << v) for v in range(n)]
+
+
 def test_nerve_cap_falls_back_to_enumeration():
-    # three disjoint tetrahedra: over the enumeration budget, and the nerve
-    # estimate (2^3) is below the face estimate (3 * 2^4), so the nerve route
+    # boundary of the 5-simplex: over the enumeration budget, and the nerve
+    # estimate (2^6) is below the face estimate (6 * 2^5), so the nerve route
     # is preferred but has more members than its cap allows
-    members = [0b1111, 0b1111 << 4, 0b1111 << 8]
+    members = simplex_boundary(6)
     tight = HomologyLimits(enumeration_budget=1, max_nerve_members=2)
     for field in (RATIONALS, PrimeField(2)):
         want = ranks_from_members(members, field, force="enumerate")
-        assert want == {-1: 0, 0: 2, 1: 0, 2: 0, 3: 0}
+        assert want == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
         assert ranks_from_members(members, field, tight) == want
 
 
 def test_nerve_fallback_reports_the_face_cap():
-    members = [0b1111, 0b1111 << 4, 0b1111 << 8]
+    members = simplex_boundary(6)
     tight = HomologyLimits(max_faces=20, enumeration_budget=1, max_nerve_members=2)
     with pytest.raises(ResourceLimit) as err:
         ranks_from_members(members, RATIONALS, tight)
     assert err.value.cap == "max-faces"
-    assert (err.value.estimate, err.value.limit) == (48, 20)
-    # the nerve's own face cap reports the 2^3 subfamilies as its estimate
+    assert (err.value.estimate, err.value.limit) == (192, 20)
+    # the nerve's own face cap reports the 2^6 subfamilies as its estimate
     with pytest.raises(ResourceLimit) as err:
         ranks_from_members(members, RATIONALS, HomologyLimits(max_faces=3), force="nerve")
-    assert (err.value.cap, err.value.estimate, err.value.limit) == ("max-faces", 8, 3)
+    assert (err.value.cap, err.value.estimate, err.value.limit) == ("max-faces", 64, 3)
 
 
 def test_homology_respects_face_cap():

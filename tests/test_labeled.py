@@ -14,8 +14,6 @@ from lsquare.labeled import (
     betti_upper_bounds,
     labeled_from_json,
     labeled_to_json,
-    restrict_divides,
-    restrict_strict,
     supports_resolution_homological,
     supports_resolution_quasitree,
     taylor_complex,
@@ -30,6 +28,8 @@ from lsquare.monomials import (
     parse_monomial,
 )
 from lsquare.randoms import sample_ideal
+
+from oracles import brute_faces, restrict_divides, restrict_strict
 
 XYZ = VariableTable(("x", "y", "z"))
 
@@ -133,6 +133,31 @@ def test_restrict_strict_examples():
     t = taylor_complex(two)
     strict = restrict_strict(t, parse_monomial("xy", two.table))
     assert sorted(len(f) for f in strict.complex.facets) == [1, 1]
+
+
+def test_mask_restrictions_agree_with_the_oracles():
+    # the divisor and strictly-below restrictions that the support criteria
+    # and the Betti pass build from masks, against explicit faces filtered by
+    # label, at every lattice point of L2(I)
+    rng = random.Random(41)
+    ideals = [parse_ideal(t)[0] for t in ("abe,bc,cdf,ad", "xy,yz,zx", "ab,bc,cd,de,ea")]
+    ideals += [sample_ideal(rng, 6, 4) for _ in range(3)]
+    for ideal in ideals:
+        lab, _ = l2_of_ideal(ideal)
+        verts, _exps, facet_masks = lab._view
+
+        def vertices_of(mask):
+            return [verts[b] for b in range(len(verts)) if mask >> b & 1]
+
+        for m in ideal.power(2).sorted_lattice:
+            vm = lab._divisor_mask(m)
+            want = restrict_divides(lab, m).complex
+            assert set(vertices_of(vm)) == want.vertices
+            got = [vertices_of(fm & vm) for fm in facet_masks]
+            assert brute_faces(got) == brute_faces(want.facets), (str(ideal), m)
+            want = restrict_strict(lab, m).complex
+            got = [vertices_of(mask) for mask in lab._strict_members(m)]
+            assert brute_faces(got) == brute_faces(want.facets), (str(ideal), m)
 
 
 def test_support_quasitree_examples():
