@@ -6,11 +6,8 @@ from .complexes import (
     empty_or_connected,
     f_vector,
     faces_by_dim,
-    find_leaf,
     induced_subcomplex,
     is_connected,
-    is_leaf,
-    leaf_joint,
     quasi_forest_order,
     reduced_homology_ranks,
 )

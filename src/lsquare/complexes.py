@@ -165,51 +165,16 @@ def reduced_homology_ranks(
 
 
 # ---------------------------------------------------------------------------
-# Leaves, joints, quasi-forest orders.
+# Leaves and quasi-forest orders.
 # ---------------------------------------------------------------------------
 
 
-def leaf_joint(delta: SimplicialComplex, facet: Iterable[int]) -> frozenset | None:
-    """A facet G witnessing that `facet` is a leaf, or None.
-
-    With a single facet there is no joint; `is_leaf` treats that case as a leaf.
-    """
-    f = frozenset(facet)
-    others = [g for g in delta.facets if g != f]
-    if f not in delta.facets or not others:
-        return None
-    hull: set = set()
-    for h in others:
-        hull |= f & h
-    for g in others:
-        if hull <= g:
-            return g
-    return None
-
-
-def is_leaf(delta: SimplicialComplex, facet: Iterable[int]) -> bool:
-    f = frozenset(facet)
-    if f not in delta.facets:
-        return False
-    if len(delta.facets) == 1:
-        return True
-    return leaf_joint(delta, f) is not None
-
-
-def find_leaf(delta: SimplicialComplex) -> tuple[frozenset, frozenset | None] | None:
-    """Some leaf facet with a witnessing joint (None when it is the only facet)."""
-    if delta.is_empty:
-        raise ValueError("the complex has no vertices, hence no leaf")
-    if len(delta.facets) == 1:
-        return delta.facets[0], None
-    for f in sorted(delta.facets, key=lambda f: (len(f), tuple(sorted(f)))):
-        g = leaf_joint(delta, f)
-        if g is not None:
-            return f, g
-    return None
-
-
 def _is_leaf_of(facets: Sequence[frozenset], f: frozenset) -> bool:
+    """Whether facet f is a leaf of the complex spanned by `facets`.
+
+    f is a leaf when it is the only facet, or when some other facet G (a
+    joint) contains f & H for every other facet H, i.e. contains the hull.
+    """
     others = [h for h in facets if h != f]
     if not others:
         return True
@@ -227,74 +192,45 @@ def verify_leaf_order(order: Sequence[frozenset]) -> bool:
     return True
 
 
-def _greedy_order(facets: list[frozenset]) -> list[frozenset] | None:
-    remaining = list(facets)
-    tail: list[frozenset] = []
-    while remaining:
-        pick = None
-        for f in sorted(remaining, key=lambda f: (len(f), tuple(sorted(f)))):
-            if _is_leaf_of(remaining, f):
-                pick = f
-                break
-        if pick is None:
-            return None
-        remaining.remove(pick)
-        tail.append(pick)
-    return tail[::-1]
-
-
-def _backtrack_order(facets: list[frozenset]) -> list[frozenset] | None:
-    n = len(facets)
-    memo: dict[frozenset, tuple[int, ...] | None] = {}
-
-    def solve(alive: frozenset) -> tuple[int, ...] | None:
-        if len(alive) <= 1:
-            return tuple(alive)
-        if alive in memo:
-            return memo[alive]
-        current = [facets[i] for i in sorted(alive)]
-        result = None
-        for i in sorted(alive):
-            if _is_leaf_of(current, facets[i]):
-                sub = solve(alive - {i})
-                if sub is not None:
-                    result = sub + (i,)
-                    break
-        memo[alive] = result
-        return result
-
-    order = solve(frozenset(range(n)))
-    if order is None:
-        return None
-    return [facets[i] for i in order]
-
-
-def quasi_forest_order(
-    delta: SimplicialComplex,
-    method: str = "auto",
-    backtrack_limit: int = 16,
-) -> list[frozenset] | None:
+def quasi_forest_order(delta: SimplicialComplex) -> list[frozenset] | None:
     """A facet order F_0..F_k with each F_i a leaf of <F_0..F_i>, or None.
 
-    The greedy search repeatedly removes any leaf of the remaining facets; on
-    failure an exhaustive backtracking pass runs when the facet count is within
-    `backtrack_limit` (method="auto").  Orders are re-verified before return.
+    The peel removes any leaf of the remaining facets until none is left and
+    returns the removed facets in reverse.  None proves that delta is not a
+    quasi-forest, for any number of facets:
+
+    Claim: if delta is a quasi-forest with at least two facets and F is any
+    leaf of it, with joint G, the complex delta' on the other facets is a
+    quasi-forest.  Proof: by Herzog-Hibi-Trung-Zheng (Trans. AMS 360, 2008,
+    Thm 9.2) a complex is a quasi-forest iff it is the clique complex of a
+    chordal graph.  G contains hull = F & (union of the other facets), and
+    the vertices of F outside the hull lie in no other facet.  So an edge of
+    delta between two vertices of delta' lies in another facet or in the
+    hull, which is inside G: the 1-skeleton of delta' is the induced
+    subgraph of delta's on the vertices of delta', and an induced subgraph of
+    a chordal graph is chordal.  A clique of it is a clique of delta's
+    1-skeleton, hence a face of delta, so it lies in some facet; if that
+    facet is F, the clique lies in the hull, hence in G.  So delta' is the
+    clique complex of a chordal graph, which makes it a quasi-forest.
+
+    Every quasi-forest has a leaf (the last facet of a leaf order), so on a
+    quasi-forest the peel never gets stuck, whichever leaf it removes; when
+    it does finish, the reversed removals form a leaf order.  Orders are
+    re-verified before return.
     """
-    facets = [f for f in delta.facets if f]
-    if not facets:
-        return []
-    if method == "greedy":
-        order = _greedy_order(facets)
-    elif method == "backtrack":
-        order = _backtrack_order(facets)
-    elif method == "auto":
-        order = _greedy_order(facets)
-        if order is None and len(facets) <= backtrack_limit:
-            order = _backtrack_order(facets)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if order is not None and not verify_leaf_order(order):
-        raise AssertionError("search produced an invalid leaf order")
+    remaining = sorted(
+        (f for f in delta.facets if f), key=lambda f: (len(f), tuple(sorted(f)))
+    )
+    peeled: list[frozenset] = []
+    while remaining:
+        leaf = next((f for f in remaining if _is_leaf_of(remaining, f)), None)
+        if leaf is None:
+            return None
+        remaining.remove(leaf)
+        peeled.append(leaf)
+    order = peeled[::-1]
+    if not verify_leaf_order(order):
+        raise AssertionError("the peel produced an invalid leaf order")
     return order
 
 

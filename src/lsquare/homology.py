@@ -479,10 +479,6 @@ def ranks_from_members(
     return out
 
 
-def is_acyclic(ranks: dict[int, int]) -> bool:
-    return all(r == 0 for r in ranks.values())
-
-
 def connected_from_members(members) -> bool | None:
     """Connectivity of the union of simplexes; None when there are no vertices."""
     live = [m for m in members if m]

@@ -18,6 +18,7 @@ from . import complexes as cx
 from . import l2
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
 from .labeled import (
+    NotQuasiForest,
     betti_numbers,
     supports_resolution_homological,
     supports_resolution_quasitree,
@@ -207,19 +208,19 @@ def ideal_checks(
             all(not v.is_diagonal for v in record.deleted),
         )
     )
-    out.append(
-        CheckResult(
-            "quasi-forest",
-            cx.quasi_forest_order(lab.complex) is not None,
+    # the connectivity criterion runs the quasi-forest test itself
+    try:
+        rep_c = supports_resolution_quasitree(lab, square)
+    except NotQuasiForest as exc:
+        out.append(CheckResult("quasi-forest", False))
+        out.append(CheckResult("support-connectivity", False, str(exc)))
+    else:
+        out.append(CheckResult("quasi-forest", True))
+        out.append(
+            CheckResult(
+                "support-connectivity", rep_c.supported, str(rep_c.witness or "")
+            )
         )
-    )
-
-    rep_c = supports_resolution_quasitree(lab, square)
-    out.append(
-        CheckResult(
-            "support-connectivity", rep_c.supported, str(rep_c.witness or "")
-        )
-    )
     rep_h = supports_resolution_homological(lab, square, field, limits)
     out.append(
         CheckResult(

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and shares no code with the package
 beyond its value types: faces come from itertools over explicit vertex tuples,
 matrices are dense lists, ranks are computed with Fraction (or mod-p) Gaussian
-elimination, and restrictions filter explicit faces by their labels.
+elimination, restrictions filter explicit faces by their labels, and the
+quasi-forest references search every leaf order or test the chordal-graph
+characterization directly.
 """
 
 from fractions import Fraction
@@ -179,3 +181,74 @@ def restrict_strict(lab, m):
         if label != target and all(a <= b for a, b in zip(label, target)):
             kept.append(f)
     return _restrict_faces(lab, kept)
+
+
+def leaf_by_definition(facets, f):
+    """f is the only facet, or some other facet G holds f & H for every other H."""
+    others = [h for h in facets if h != f]
+    return not others or any(all(f & h <= g for h in others) for g in others)
+
+
+def backtrack_leaf_order(facets):
+    """Exhaustive, memoised search for a leaf order of the nonempty facets, or None.
+
+    Tries every facet as the last leaf, so it never relies on the peel's claim
+    that any leaf may be removed first.
+    """
+    facets = [frozenset(f) for f in facets if f]
+    memo = {}
+
+    def solve(alive):
+        if len(alive) <= 1:
+            return tuple(alive)
+        if alive in memo:
+            return memo[alive]
+        current = [facets[i] for i in sorted(alive)]
+        result = None
+        for i in sorted(alive):
+            if leaf_by_definition(current, facets[i]):
+                sub = solve(alive - {i})
+                if sub is not None:
+                    result = sub + (i,)
+                    break
+        memo[alive] = result
+        return result
+
+    order = solve(frozenset(range(len(facets))))
+    return None if order is None else [facets[i] for i in order]
+
+
+def is_chordal_clique_complex(facets):
+    """Whether the facets span the clique complex of a chordal graph.
+
+    By Herzog-Hibi-Trung-Zheng this is exactly the quasi-forest property.  The
+    graph is the 1-skeleton; it is chordal iff simplicial vertices (whose
+    neighbours are pairwise adjacent) can be peeled off until it is empty, and
+    the complex is its clique complex iff every maximal clique is a facet.
+    """
+    facets = {frozenset(f) for f in facets if f}
+    adj = {}
+    for f in facets:
+        for v in f:
+            adj.setdefault(v, set()).update(f - {v})
+
+    def is_clique(vs):
+        return all(b in adj[a] for a, b in combinations(vs, 2))
+
+    alive = set(adj)
+    while alive:
+        simplicial = next(
+            (v for v in sorted(alive) if is_clique(sorted(adj[v] & alive))), None
+        )
+        if simplicial is None:
+            return False
+        alive.remove(simplicial)
+    cliques = set()
+    for v, nbrs in adj.items():
+        nbrs = sorted(nbrs)
+        for k in range(len(nbrs) + 1):
+            for sub in combinations(nbrs, k):
+                if is_clique(sub):
+                    cliques.add(frozenset(sub) | {v})
+    maximal = [c for c in cliques if not any(c < d for d in cliques)]
+    return all(c in facets for c in maximal)

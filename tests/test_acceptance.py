@@ -28,6 +28,8 @@ from lsquare.labeled import (
 )
 from lsquare.monomials import parse_ideal, parse_monomial
 
+from oracles import backtrack_leaf_order, is_chordal_clique_complex
+
 SUBSAMPLE_SEED = 815
 
 
@@ -136,7 +138,8 @@ def test_criterion_6_sharpness(sharpness_ideal):
 def test_criterion_7_structural(sweep_ideals, sweep_results):
     with criterion(
         7, "skeleton leaf orders q=1..8, generator properties on 500 ideals, "
-        "greedy/backtracking agreement on 200 complexes"
+        "quasi-forest peel agrees with backtracking and chordal oracles "
+        "on 200 complexes"
     ):
         for q in range(1, 9):
             order = quasi_forest_order(l2_skeleton(q))
@@ -152,9 +155,9 @@ def test_criterion_7_structural(sweep_ideals, sweep_results):
                 for _ in range(rng.randint(1, 6))
             ]
             delta = SimplicialComplex.from_facets(facets)
-            greedy = quasi_forest_order(delta, method="greedy")
-            exhaustive = quasi_forest_order(delta, method="backtrack")
-            assert (greedy is None) == (exhaustive is None), facets
+            peeled = quasi_forest_order(delta) is not None
+            assert peeled == (backtrack_leaf_order(delta.facets) is not None), facets
+            assert peeled == is_chordal_clique_complex(delta.facets), facets
 
 
 def test_criterion_8_oracle_equivalence(sweep_ideals, running_ideal, four_variables_ideal, sharpness_ideal):

@@ -1,5 +1,6 @@
 import json
 
+from lsquare import complexes
 from lsquare.cli import main
 
 
@@ -208,3 +209,16 @@ def test_verify_command_deterministic(capsys):
     )
     obj = json.loads(out)
     assert obj["all_passed"] is True and len(obj["instances"]) == 3
+
+
+def test_verify_lists_a_non_quasi_forest_as_failed(monkeypatch, capsys):
+    monkeypatch.setattr(complexes, "quasi_forest_order", lambda delta: None)
+    code, out, err = run(
+        capsys, "verify", "--seed", "1", "--count", "2", "--format", "json"
+    )
+    assert code == 2 and err == ""
+    obj = json.loads(out)
+    assert not obj["all_passed"] and len(obj["instances"]) == 3
+    for inst in obj["instances"]:
+        checks = {f["check"] for f in inst["failures"]}
+        assert checks == {"quasi-forest", "support-connectivity"}

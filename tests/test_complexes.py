@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,18 +12,20 @@ from lsquare.complexes import (
     empty_or_connected,
     f_vector,
     faces_by_dim,
-    find_leaf,
     induced_subcomplex,
     is_connected,
-    is_leaf,
-    leaf_joint,
     quasi_forest_order,
     reduced_homology_ranks,
     verify_leaf_order,
 )
 from lsquare.l2 import l2_skeleton, pair_index
 
-from oracles import brute_connected
+from oracles import (
+    backtrack_leaf_order,
+    brute_connected,
+    is_chordal_clique_complex,
+    leaf_by_definition,
+)
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets([{1, 2}, {2, 3}, {1, 3}])
 
@@ -151,8 +154,8 @@ def test_connectivity_matches_homology_rank():
 
 def test_single_facet_is_a_leaf_without_joint():
     delta = SimplicialComplex.from_facets([{1, 2, 3}])
-    assert find_leaf(delta) == (frozenset({1, 2, 3}), None)
-    assert is_leaf(delta, {1, 2, 3})
+    assert quasi_forest_order(delta) == [frozenset({1, 2, 3})]
+    assert verify_leaf_order([frozenset({1, 2, 3})])
 
 
 def test_skeleton_row_is_leaf_with_big_facet_joint():
@@ -161,16 +164,19 @@ def test_skeleton_row_is_leaf_with_big_facet_joint():
     big = frozenset(
         pair_index(3, i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i < j
     )
-    assert leaf_joint(sk, row1) == big
-    leaf, joint = find_leaf(sk)
-    assert joint is not None
+    assert row1 in sk.facets and big in sk.facets
+    assert verify_leaf_order([big, row1])
+    # row1 is a leaf of the whole skeleton, and what is left still peels
+    rest = quasi_forest_order(
+        SimplicialComplex.from_facets(f for f in sk.facets if f != row1)
+    )
+    assert rest is not None and verify_leaf_order(rest + [row1])
 
 
 def test_hollow_triangle_has_no_leaf():
-    assert find_leaf(HOLLOW_TRIANGLE) is None
     assert quasi_forest_order(HOLLOW_TRIANGLE) is None
-    with pytest.raises(ValueError):
-        find_leaf(SimplicialComplex.from_facets([frozenset()]))
+    for order in permutations(HOLLOW_TRIANGLE.facets):
+        assert not verify_leaf_order(list(order))
 
 
 def test_quasi_forest_order_trivial_cases():
@@ -193,10 +199,56 @@ def test_quasi_forest_order_is_verified_leaf_order():
 @given(facet_lists)
 @settings(max_examples=150)
 def test_greedy_agrees_with_backtracking(facets):
+    # the peel against both independent quasi-forest references
     delta = SimplicialComplex.from_facets(facets)
-    greedy = quasi_forest_order(delta, method="greedy")
-    exhaustive = quasi_forest_order(delta, method="backtrack")
-    assert (greedy is None) == (exhaustive is None)
+    peeled = quasi_forest_order(delta) is not None
+    assert peeled == (backtrack_leaf_order(delta.facets) is not None)
+    assert peeled == is_chordal_clique_complex(delta.facets)
+
+
+@given(facet_lists)
+@settings(max_examples=100)
+def test_removing_any_leaf_of_a_quasi_forest_leaves_a_quasi_forest(facets):
+    # the claim that makes the peel exact, checked with the exhaustive search
+    delta = SimplicialComplex.from_facets(facets)
+    if backtrack_leaf_order(delta.facets) is None:
+        return
+    for f in delta.facets:
+        if leaf_by_definition(delta.facets, f):
+            rest = [g for g in delta.facets if g != f]
+            assert backtrack_leaf_order(rest) is not None
+
+
+def test_quasi_forest_past_twenty_facets_gets_a_verified_order():
+    # a strip of 22 triangles, and 25 facets each glued into one of the last
+    # three along a proper face
+    strip = SimplicialComplex.from_facets({i, i + 1, i + 2} for i in range(22))
+    rng = random.Random(3)
+    facets = [frozenset({0, 1, 2})]
+    fresh = 3
+    while len(facets) < 25:
+        joint = sorted(facets[-rng.randint(1, min(3, len(facets)))])
+        shared = rng.sample(joint, rng.randint(1, len(joint) - 1))
+        new = rng.randint(1, 2)
+        facets.append(frozenset(shared) | set(range(fresh, fresh + new)))
+        fresh += new
+    grown = SimplicialComplex.from_facets(facets)
+    for delta in (strip, grown):
+        assert len(delta.facets) >= 20
+        assert is_chordal_clique_complex(delta.facets)
+        order = quasi_forest_order(delta)
+        assert order is not None and verify_leaf_order(order)
+        assert sorted(map(sorted, order)) == sorted(map(sorted, delta.facets))
+
+
+def test_non_quasi_forest_past_twenty_facets_is_rejected():
+    # a hollow triangle with 17 pendant edges: the peel strips every pendant
+    # edge and then finds no leaf
+    pendants = [{1 + i % 3, 4 + i} for i in range(17)]
+    delta = SimplicialComplex.from_facets(list(HOLLOW_TRIANGLE.facets) + pendants)
+    assert len(delta.facets) == 20
+    assert not is_chordal_clique_complex(delta.facets)
+    assert quasi_forest_order(delta) is None
 
 
 @given(facet_lists)

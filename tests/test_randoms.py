@@ -1,6 +1,7 @@
 import random
 
-from lsquare.monomials import format_ideal, minimalize
+from lsquare import complexes as cx
+from lsquare.monomials import format_ideal, minimalize, parse_ideal
 from lsquare.randoms import (
     SweepConfig,
     ideal_checks,
@@ -69,3 +70,15 @@ def test_run_sweep_deterministic_and_empty():
 
     empty = run_sweep(SweepConfig(seed=3, count=0))
     assert empty.instances == [] and empty.all_passed
+
+
+def test_ideal_checks_reports_a_non_quasi_forest(monkeypatch):
+    # L2(I) is always a quasi-forest, so pretend the test said otherwise: the
+    # failure must be listed, not raised, and the other checks must still run.
+    monkeypatch.setattr(cx, "quasi_forest_order", lambda delta: None)
+    ideal, _ = parse_ideal("abe,bc,cdf,ad")
+    results = {c.name: c for c in ideal_checks(ideal)}
+    assert not results["quasi-forest"].passed
+    assert not results["support-connectivity"].passed
+    for name in ("support-homology", "bound-chain", "irredundant-partner"):
+        assert results[name].passed, name
