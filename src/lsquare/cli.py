@@ -93,6 +93,16 @@ def _check_q_cap(q: int, args) -> None:
         raise ResourceLimit("ideal has too many generators", "max-q", q, args.max_q)
 
 
+def _labeled_complex(args, ideal, target):
+    """The complex named by --complex, else L2(I) for a square, else Taylor's."""
+    if args.complex:
+        with open(args.complex) as fh:
+            return labeled_from_json(json.load(fh), ideal.table), args.complex
+    if args.power == 2 and ideal.is_squarefree():
+        return l2mod.l2_of_ideal(ideal)[0], "L2 complex of the ideal"
+    return taylor_complex(target, max_vertices=args.max_taylor), "Taylor complex"
+
+
 def render_rows(header: list[str], rows: list[tuple[str, list]], fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
@@ -190,16 +200,7 @@ def cmd_check_support(args) -> int:
     field = parse_field(args.field)
     limits = _limits(args)
     target = ideal.power(args.power) if args.power > 1 else ideal
-    if args.complex:
-        with open(args.complex) as fh:
-            lab = labeled_from_json(json.load(fh), ideal.table)
-        source = args.complex
-    elif args.power == 2 and ideal.is_squarefree():
-        lab, _record = l2mod.l2_of_ideal(ideal)
-        source = "L2 complex of the ideal"
-    else:
-        lab = taylor_complex(target, max_vertices=args.max_taylor)
-        source = "Taylor complex"
+    lab, source = _labeled_complex(args, ideal, target)
     print(f"complex: {source} ({len(lab.complex.vertices)} vertices)")
 
     failed = False
@@ -221,14 +222,8 @@ def cmd_betti(args) -> int:
     field = parse_field(args.field)
     limits = _limits(args)
     target = ideal.power(args.power) if args.power > 1 else ideal
-    if args.complex:
-        with open(args.complex) as fh:
-            lab = labeled_from_json(json.load(fh), ideal.table)
-    elif args.power == 2 and ideal.is_squarefree():
-        lab, _record = l2mod.l2_of_ideal(ideal)
-    else:
-        lab = taylor_complex(target, max_vertices=args.max_taylor)
-    table = betti_numbers(lab, target, field, check=True, limits=limits)
+    lab, _source = _labeled_complex(args, ideal, target)
+    table = betti_numbers(lab, target, field, limits=limits)
     max_d = table.max_d
     if args.format == "json":
         print(json.dumps(table.to_json(), indent=2))

@@ -261,6 +261,6 @@ def bound_table(
         ("complex", [deletion_face_bound(record, d) for d in ds]),
     ]
     if include_exact:
-        table = betti_numbers(lab, ideal.power(2), field, check=True, limits=limits)
+        table = betti_numbers(lab, ideal.power(2), field, limits=limits)
         rows.append(("betti", table.as_vector(max_d)))
     return BoundTable(q, record.s, record.t, max_d, rows)

@@ -15,6 +15,7 @@ subcomplex of faces whose label strictly divides m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -64,58 +65,48 @@ class LabeledComplex:
     def top_label(self) -> Monomial:
         return self.face_label(self.complex.vertices)
 
-    # vertex order, exponent rows and facet masks used by the fast paths
-    @property
-    def _view(self):
-        view = getattr(self, "_view_cache", None)
-        if view is None:
-            verts = sorted(self.complex.vertices)
-            view = (
-                verts,
-                [self.labels[v].exponents for v in verts],
-                list(self.complex.facet_masks),
-            )
-            object.__setattr__(self, "_view_cache", view)
-        return view
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Bit-sliced labels: column p, entry e, masks the vertices whose label
+        has exponent at most e in variable p (bits in sorted vertex order, as in
+        `SimplicialComplex.facet_masks`); each column ends at the full mask."""
+        rows = [self.labels[v].exponents for v in sorted(self.complex.vertices)]
+        columns = []
+        for p in range(self.table.n):
+            column = [0] * (max((e[p] for e in rows), default=0) + 1)
+            for k, e in enumerate(rows):
+                column[e[p]] |= 1 << k
+            for e in range(1, len(column)):
+                column[e] |= column[e - 1]
+            columns.append(tuple(column))
+        return tuple(columns)
 
     def _divisor_mask(self, m: Monomial) -> int:
-        _verts, exps, _facets = self._view
-        target = m.exponents
-        mask = 0
-        for k, e in enumerate(exps):
-            if all(a <= b for a, b in zip(e, target)):
-                mask |= 1 << k
+        """Vertices whose label divides m, for m dividing the top label."""
+        mask = (1 << len(self.complex.vertices)) - 1
+        for column, e in zip(self._columns, m.exponents):
+            mask &= column[e]
         return mask
 
     def _strict_members(self, m: Monomial) -> list[int]:
         """Vertex masks of simplexes whose union is the strictly-below subcomplex.
 
-        A face has label strictly dividing m iff all its labels divide m and it
-        misses, for some variable of m, every vertex attaining m's exponent.
+        Write X_{<=m} (X_{<m}) for the faces whose label divides (strictly
+        divides) m.  Then
+
+            X_{<m} = union of X_{<=m/x_p} over p in supp(m).
+
+        Proof: if lcm(F) divides m and differs from it, then lcm(F)_p < m_p for
+        some p, so p is in supp(m) and lcm(F) divides m/x_p.  Conversely, if
+        lcm(F) divides m/x_p with m_p > 0, it divides m and falls short of m
+        in variable p.  A face label divides m' exactly when every vertex label
+        of the face does, so X_{<=m'} is the subcomplex induced on the vertex
+        set V(m') = AND_p column_p[m'_p], spanned by the facets cut down to
+        V(m').  For m' = m/x_p that set is V(m) & column_p[m_p - 1].
         """
-        _verts, exps, facet_masks = self._view
-        target = m.exponents
         vm = self._divisor_mask(m)
-        members = []
-        support = [k for k, e in enumerate(target) if e]
-        if not support:
-            return []
-        drop_masks = []
-        for p in support:
-            a = 0
-            probe = vm
-            while probe:
-                low = probe & -probe
-                bit = low.bit_length() - 1
-                if exps[bit][p] == target[p]:
-                    a |= low
-                probe ^= low
-            drop_masks.append(~a)
-        for fm in facet_masks:
-            base = fm & vm
-            for drop in drop_masks:
-                members.append(base & drop)
-        return members
+        below = [vm & column[e - 1] for column, e in zip(self._columns, m.exponents) if e]
+        return [fm & b for fm in self.complex.facet_masks for b in below]
 
 
 def taylor_complex(
@@ -169,7 +160,7 @@ def supports_resolution_quasitree(
         raise NotQuasiForest(
             "connectivity criterion is inapplicable: the complex is not a quasi-forest"
         )
-    _verts, _exps, facet_masks = lab._view
+    facet_masks = lab.complex.facet_masks
     for m in ideal.sorted_lattice:
         vm = lab._divisor_mask(m)
         verdict = hml.connected_from_members([fm & vm for fm in facet_masks])
@@ -186,7 +177,7 @@ def supports_resolution_homological(
 ) -> SupportReport:
     """Acyclicity criterion: every lcm-lattice restriction is empty or acyclic."""
     _check_labels_match(lab, ideal)
-    _verts, _exps, facet_masks = lab._view
+    facet_masks = lab.complex.facet_masks
     name = f"homological over {field}"
     for m in ideal.sorted_lattice:
         vm = lab._divisor_mask(m)
@@ -249,21 +240,18 @@ def betti_numbers(
     lab: LabeledComplex,
     ideal: MonomialIdeal,
     field: Field = RATIONALS,
-    check: bool = True,
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> BettiTable:
     """Multigraded Betti numbers of `ideal` read off a supporting complex.
 
     beta_{d,m} = rank of reduced homology in dimension d-1 of the subcomplex of
     faces with label strictly dividing m, for m running over the lcm lattice
-    (all other multidegrees contribute zero).  With check=True the homological
-    support criterion is verified first and a failure raises UnsupportedComplex.
+    (all other multidegrees contribute zero).  The homological support
+    criterion is verified first and a failure raises UnsupportedComplex.
     """
-    _check_labels_match(lab, ideal)
-    if check:
-        report = supports_resolution_homological(lab, ideal, field, limits)
-        if not report.supported:
-            raise UnsupportedComplex(report.witness, report.witness_dim)
+    report = supports_resolution_homological(lab, ideal, field, limits)
+    if not report.supported:
+        raise UnsupportedComplex(report.witness, report.witness_dim)
     graded: dict[tuple[int, Monomial], int] = {}
     total: dict[int, int] = {}
     for m in ideal.sorted_lattice:

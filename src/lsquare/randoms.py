@@ -232,7 +232,9 @@ def ideal_checks(
 
     # bounds chain: exact betti <= complex face counts == enumerated f-vector
     # <= skeleton bound, through every dimension with a nonzero entry anywhere
-    beta = betti_numbers(taylor_complex(square), square, field, limits=limits)
+    # the sweep has no Taylor flag, so only the face cap bounds this complex
+    taylor = taylor_complex(square, max_vertices=square.q)
+    beta = betti_numbers(taylor, square, field, limits=limits)
     top = max(q * (q - 1) // 2 - 1, q - 1, beta.max_d) + 1
     fv = cx.f_vector(lab.complex, limits)
     chain_ok = True

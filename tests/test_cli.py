@@ -222,3 +222,13 @@ def test_verify_lists_a_non_quasi_forest_as_failed(monkeypatch, capsys):
     for inst in obj["instances"]:
         checks = {f["check"] for f in inst["failures"]}
         assert checks == {"quasi-forest", "support-connectivity"}
+
+
+def test_verify_runs_past_the_default_taylor_cap(capsys):
+    # draw 15 of seed 1 has a square with 27 generators; verify has no Taylor
+    # flag, so its exact Betti check must not stop at the 22-vertex default
+    code, out, err = run(
+        capsys, "verify", "--max-q", "7", "--max-n", "7", "--count", "15", "--no-fixture"
+    )
+    assert code == 0, err
+    assert "summary: 15/15 instances passed" in out

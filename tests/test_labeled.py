@@ -135,29 +135,51 @@ def test_restrict_strict_examples():
     assert sorted(len(f) for f in strict.complex.facets) == [1, 1]
 
 
+def assert_masks_match_oracles(lab, lattice, tag):
+    verts = sorted(lab.complex.vertices)
+    facet_masks = lab.complex.facet_masks
+
+    def vertices_of(mask):
+        return [verts[b] for b in range(len(verts)) if mask >> b & 1]
+
+    for m in lattice:
+        vm = lab._divisor_mask(m)
+        want = restrict_divides(lab, m).complex
+        assert set(vertices_of(vm)) == want.vertices, (tag, m)
+        got = [vertices_of(fm & vm) for fm in facet_masks]
+        assert brute_faces(got) == brute_faces(want.facets), (tag, m)
+        want = restrict_strict(lab, m).complex
+        got = [vertices_of(mask) for mask in lab._strict_members(m)]
+        assert brute_faces(got) == brute_faces(want.facets), (tag, m)
+
+
 def test_mask_restrictions_agree_with_the_oracles():
     # the divisor and strictly-below restrictions that the support criteria
     # and the Betti pass build from masks, against explicit faces filtered by
-    # label, at every lattice point of L2(I)
+    # label, at every lattice point: L2(I) of square-free ideals, the figure
+    # complex, and Taylor complexes of ideals with exponents up to 6
     rng = random.Random(41)
     ideals = [parse_ideal(t)[0] for t in ("abe,bc,cdf,ad", "xy,yz,zx", "ab,bc,cd,de,ea")]
     ideals += [sample_ideal(rng, 6, 4) for _ in range(3)]
     for ideal in ideals:
         lab, _ = l2_of_ideal(ideal)
-        verts, _exps, facet_masks = lab._view
+        assert_masks_match_oracles(lab, ideal.power(2).sorted_lattice, str(ideal))
 
-        def vertices_of(mask):
-            return [verts[b] for b in range(len(verts)) if mask >> b & 1]
+    E, _ = parse_ideal("x^2,y^2,z^2,xy,xz,yz")
+    assert_masks_match_oracles(figure_complex(), E.sorted_lattice, "figure")
 
-        for m in ideal.power(2).sorted_lattice:
-            vm = lab._divisor_mask(m)
-            want = restrict_divides(lab, m).complex
-            assert set(vertices_of(vm)) == want.vertices
-            got = [vertices_of(fm & vm) for fm in facet_masks]
-            assert brute_faces(got) == brute_faces(want.facets), (str(ideal), m)
-            want = restrict_strict(lab, m).complex
-            got = [vertices_of(mask) for mask in lab._strict_members(m)]
-            assert brute_faces(got) == brute_faces(want.facets), (str(ideal), m)
+    table = VariableTable(tuple("abcd"))
+    top = 0
+    for _ in range(8):
+        gens = []
+        for _ in range(rng.randint(2, 6)):
+            exps = [rng.randint(0, 6) for _ in range(4)]
+            exps[rng.randrange(4)] = rng.randint(1, 6)
+            gens.append(Monomial(table, tuple(exps)))
+        ideal = MonomialIdeal.minimal(gens)
+        top = max(top, *(max(g.exponents) for g in ideal.gens))
+        assert_masks_match_oracles(taylor_complex(ideal), ideal.sorted_lattice, str(ideal))
+    assert top > 2
 
 
 def test_support_quasitree_examples():
