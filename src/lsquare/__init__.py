@@ -2,10 +2,7 @@
 
 from .complexes import (
     SimplicialComplex,
-    delete_vertex,
-    empty_or_connected,
     f_vector,
-    faces_by_dim,
     induced_subcomplex,
     is_connected,
     quasi_forest_order,
@@ -40,7 +37,6 @@ from .labeled import (
     SupportReport,
     UnsupportedComplex,
     betti_numbers,
-    betti_upper_bounds,
     supports_resolution_homological,
     supports_resolution_quasitree,
     taylor_complex,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import homology as hml
@@ -87,32 +88,27 @@ class SimplicialComplex:
         return f"<{inner}>"
 
 
-def faces_by_dim(
-    delta: SimplicialComplex, limits: HomologyLimits = DEFAULT_LIMITS
-) -> dict[int, list[frozenset]]:
-    """Every face grouped by dimension; the empty face sits at dimension -1."""
-    if delta.is_void:
-        return {}
-    masks = hml.enumerate_face_masks(list(delta.facet_masks) or [0], limits.max_faces)
-    out: dict[int, list[frozenset]] = {}
-    for m in masks:
-        out.setdefault(m.bit_count() - 1, []).append(delta.unmask(m))
-    for lst in out.values():
-        lst.sort(key=lambda f: tuple(sorted(f)))
-    return out
-
-
 def f_vector(
     delta: SimplicialComplex, limits: HomologyLimits = DEFAULT_LIMITS
 ) -> tuple[int, ...]:
-    """Face counts by dimension, starting at dimension 0."""
+    """Face counts by dimension, starting at dimension 0, without listing faces.
+
+    By inclusion-exclusion over the facets, the k-faces number
+    f_k = sum over nonempty facet subfamilies S of (-1)^(|S|+1) C(c_S, k+1),
+    with c_S the number of vertices common to S: a nonempty face lying in
+    exactly a >= 1 facets is counted sum_{j=1..a} (-1)^(j+1) C(a, j) = 1 time.
+    A subfamily with no common vertex adds C(0, k+1) = 0, so only the faces of
+    the nerve of the facets are walked (`homology.nerve_walk`, under the face
+    cap).
+    """
     if delta.is_empty:
         return ()
-    masks = hml.enumerate_face_masks(list(delta.facet_masks), limits.max_faces)
     counts = [0] * (delta.dim + 1)
-    for m in masks:
-        if m:
-            counts[m.bit_count() - 1] += 1
+    for fmask, common in hml.nerve_walk(list(delta.facet_masks), limits.max_faces):
+        sign = 1 if fmask.bit_count() & 1 else -1
+        size = common.bit_count()
+        for k in range(size):
+            counts[k] += sign * comb(size, k + 1)
     return tuple(counts)
 
 
@@ -132,22 +128,12 @@ def induced_subcomplex(
     return SimplicialComplex.from_facets(f & keep for f in delta.facets)
 
 
-def delete_vertex(delta: SimplicialComplex, v: int) -> SimplicialComplex:
-    if v not in delta.vertices:
-        raise ValueError(f"vertex {v} is not in the complex")
-    return induced_subcomplex(delta, delta.vertices - {v}, warn_unknown=False)
-
-
 def is_connected(delta: SimplicialComplex) -> bool:
     """Graph connectivity of the 1-skeleton; raises on a complex with no vertices."""
     result = hml.connected_from_members(delta.facet_masks)
     if result is None:
         raise ValueError("connectivity is undefined for a complex with no vertices")
     return result
-
-
-def empty_or_connected(delta: SimplicialComplex) -> bool:
-    return delta.is_empty or is_connected(delta)
 
 
 def reduced_homology_ranks(

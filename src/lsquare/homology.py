@@ -9,7 +9,13 @@ list is always such a family).  Three steps are used, cheapest first:
   is a single simplex is acyclic, and anything else goes on to the routes
   below with fewer faces and fewer members;
 * face enumeration: list every face, build sparse boundary matrices, and take
-  exact ranks (integer fraction-free elimination over Q, bit-rows over GF(2));
+  exact ranks (integer fraction-free elimination over Q, bit-rows over GF(2)),
+  from the top dimension down, leaving out every column that a pivot of the
+  map above already shows to be dependent (clearing: a reduced column of d_d
+  with smallest index c has zero boundary, so d(c) is a combination of the
+  d(s) with s > c; the full proof is in `ranks_from_face_masks`).  On the
+  three q = 10 benchmark ideals (traced pass, seed 1) this cut Q elimination
+  from 1.28 s to 0.09 s per pass and the whole pass from 2.20 s to 1.01 s;
 * nerve reduction: when the face count would blow up but the member count is
   small, compute the homology of the nerve of the member family instead.  All
   nonempty intersections of simplexes on vertex subsets are simplexes, hence
@@ -137,33 +143,33 @@ def parse_field(spec: str) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def rank_gf2(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
+def rank_gf2(rows: list[int], pivots: set[int] | None = None) -> int:
+    reduced: dict[int, int] = {}
     for row in rows:
         while row:
             low = row & -row
-            piv = pivots.get(low)
+            piv = reduced.get(low)
             if piv is None:
-                pivots[low] = row
-                rank += 1
+                reduced[low] = row
                 break
             row ^= piv
-    return rank
+    if pivots is not None:
+        pivots.update(low.bit_length() - 1 for low in reduced)
+    return len(reduced)
 
 
-def rank_gfp(rows: list[dict[int, int]], p: int) -> int:
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
+def rank_gfp(
+    rows: list[dict[int, int]], p: int, pivots: set[int] | None = None
+) -> int:
+    reduced: dict[int, dict[int, int]] = {}
     for raw in rows:
         row = {c: v % p for c, v in raw.items() if v % p}
         while row:
             c = min(row)
-            piv = pivots.get(c)
+            piv = reduced.get(c)
             if piv is None:
                 inv = pow(row[c], -1, p)
-                pivots[c] = {cc: (vv * inv) % p for cc, vv in row.items()}
-                rank += 1
+                reduced[c] = {cc: (vv * inv) % p for cc, vv in row.items()}
                 break
             f = row[c]
             for cc, vv in piv.items():
@@ -172,19 +178,20 @@ def rank_gfp(rows: list[dict[int, int]], p: int) -> int:
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-    return rank
+    if pivots is not None:
+        pivots.update(reduced)
+    return len(reduced)
 
 
-def rank_rational(rows: list[dict[int, int]]) -> int:
+def rank_rational(rows: list[dict[int, int]], pivots: set[int] | None = None) -> int:
     """Exact rank over Q via integer rows: scaling a row never changes rank,
     so eliminations use a*row - b*pivot followed by gcd normalization."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
+    reduced: dict[int, dict[int, int]] = {}
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
         while row:
             c = min(row)
-            piv = pivots.get(c)
+            piv = reduced.get(c)
             if piv is None:
                 g = 0
                 for v in row.values():
@@ -193,8 +200,7 @@ def rank_rational(rows: list[dict[int, int]]) -> int:
                         break
                 if g > 1:
                     row = {cc: vv // g for cc, vv in row.items()}
-                pivots[c] = row
-                rank += 1
+                reduced[c] = row
                 break
             a = piv[c]
             b = row[c]
@@ -224,17 +230,25 @@ def rank_rational(rows: list[dict[int, int]]) -> int:
                     if g > 1:
                         new = {cc: vv // g for cc, vv in new.items()}
             row = new
-    return rank
+    if pivots is not None:
+        pivots.update(reduced)
+    return len(reduced)
 
 
-def matrix_rank(columns, field: Field) -> int:
+def matrix_rank(columns, field: Field, pivots: set[int] | None = None) -> int:
+    """Rank of the matrix with the given columns (dicts, or bit rows over GF(2)).
+
+    Every kernel reduces each column until its smallest index is new, so the
+    rank is the number of pivots; when `pivots` is given, the smallest index of
+    each reduced column is added to it.
+    """
     if isinstance(field, PrimeField):
         if field.p == 2 and columns and isinstance(columns[0], int):
-            return rank_gf2(columns)
+            return rank_gf2(columns, pivots)
         if columns and isinstance(columns[0], int):
             raise TypeError("bit columns are only valid over GF(2)")
-        return rank_gfp(columns, field.p)
-    return rank_rational(columns)
+        return rank_gfp(columns, field.p, pivots)
+    return rank_rational(columns, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +295,24 @@ def _bits(mask: int) -> list[int]:
 
 
 def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
-    """Reduced homology ranks of a subset-closed face family (given as masks)."""
+    """Reduced homology ranks of a subset-closed face family (given as masks).
+
+    The boundary maps are ranked from the top dimension down, with clearing
+    (Chen and Kerber, Persistent homology computation with a twist, EuroCG
+    2011; Bauer, Kerber and Reininghaus, Clear and compress, 2014): a
+    (d-1)-face that is a pivot of the reduced boundary map d_d is left out as
+    a column of d_{d-1}, and the rank of d_{d-1} is the rank of the columns
+    that are kept.  Faces of each dimension are indexed in ascending mask
+    order, and `matrix_rank` pivots every reduced column on its smallest index.
+
+    Proof that clearing keeps the rank, over Q, GF(2) and every GF(p) alike.
+    A reduced column R of d_d with pivot c is a combination of boundaries, so
+    R = b_c*c + sum over s > c of b_s*s with b_c != 0, and d(R) = 0 since
+    d_{d-1} d_d = 0.  So d(c) lies in the span of the d(s) with s > c.  Going
+    down the pivots from the largest, each s > c is either kept or a pivot
+    already shown to lie in the span of the kept columns, so every cleared
+    column lies in the span of the kept ones.
+    """
     if not faces:
         return {}
     by_dim: dict[int, list[int]] = defaultdict(list)
@@ -296,13 +327,17 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
 
     gf2 = isinstance(field, PrimeField) and field.p == 2
     boundary_rank: dict[int, int] = {}
-    for d in range(0, top + 1):
+    cleared: set[int] = set()
+    for d in range(top, -1, -1):
         if d not in by_dim or (d - 1) not in index:
             boundary_rank[d] = 0
+            cleared = set()
             continue
         rows_below = index[d - 1]
         columns = []
-        for mask in by_dim[d]:
+        for k, mask in enumerate(by_dim[d]):
+            if k in cleared:
+                continue
             if gf2:
                 col = 0
                 for b in _bits(mask):
@@ -313,7 +348,8 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
                 for pos, b in enumerate(_bits(mask)):
                     col[rows_below[mask ^ (1 << b)]] = -1 if pos & 1 else 1
                 columns.append(col)
-        boundary_rank[d] = matrix_rank(columns, field)
+        cleared = set()
+        boundary_rank[d] = matrix_rank(columns, field, cleared)
 
     ranks = {}
     for d in range(-1, top + 1):
@@ -342,34 +378,43 @@ def maximal_masks(members) -> list[int]:
     return keep
 
 
-def _nerve_face_masks(members: list[int], max_faces: int) -> set[int]:
-    """Faces of the nerve of the member family, as index masks over members.
+def nerve_walk(members: list[int], max_faces: int):
+    """Yield (index mask, common vertices) for every nonempty nerve face.
 
-    A subfamily is a nerve face when its members share a vertex; the family is
-    downward closed, so faces are grown level by level from their prefix with
-    the top index removed.
+    A subfamily of the members is a nerve face when its members share a
+    vertex; the family is downward closed, so faces are grown level by level
+    from their prefix with the top index removed (the singletons make the
+    first level whatever their members).  More than `max_faces` nerve faces,
+    counting the empty one, raise before the level that overruns is finished.
     """
     k = len(members)
-    faces: set[int] = {0}
-    level = {}
-    for i, m in enumerate(members):
-        level[1 << i] = m
-        faces.add(1 << i)
+
+    def over() -> ResourceLimit:
+        return ResourceLimit(
+            "nerve enumeration exceeded the face cap", "max-faces", 1 << k, max_faces
+        )
+
+    level = {1 << i: m for i, m in enumerate(members)}
+    count = 1 + len(level)
+    if count > max_faces:
+        raise over()
     while level:
+        yield from level.items()
         nxt = {}
         for fmask, inter in level.items():
-            hi = fmask.bit_length() - 1
-            for j in range(hi + 1, k):
+            for j in range(fmask.bit_length(), k):
                 inter2 = inter & members[j]
                 if inter2:
                     nxt[fmask | (1 << j)] = inter2
-        faces.update(nxt)
-        if len(faces) > max_faces:
-            raise ResourceLimit(
-                "nerve enumeration exceeded the face cap", "max-faces", 1 << k, max_faces
-            )
+            if count + len(nxt) > max_faces:
+                raise over()
+        count += len(nxt)
         level = nxt
-    return faces
+
+
+def _nerve_face_masks(members: list[int], max_faces: int) -> set[int]:
+    """Faces of the nerve of the member family, as index masks over members."""
+    return {0, *(fmask for fmask, _ in nerve_walk(members, max_faces))}
 
 
 def strong_core(members: list[int]) -> list[int]:

@@ -62,9 +62,6 @@ class LabeledComplex:
             m = m.lcm(self.labels[v])
         return m
 
-    def top_label(self) -> Monomial:
-        return self.face_label(self.complex.vertices)
-
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         """Bit-sliced labels: column p, entry e, masks the vertices whose label
@@ -263,14 +260,6 @@ def betti_numbers(
                 graded[(d + 1, m)] = r
                 total[d + 1] = total.get(d + 1, 0) + r
     return BettiTable(total, graded)
-
-
-def betti_upper_bounds(
-    lab: LabeledComplex, limits: HomologyLimits = DEFAULT_LIMITS
-) -> BettiTable:
-    """Face counts of the complex, an entrywise bound for the Betti numbers."""
-    fv = cx.f_vector(lab.complex, limits)
-    return BettiTable({d: c for d, c in enumerate(fv)})
 
 
 # JSON for labeled complexes reuses the complex schema with labels as strings.

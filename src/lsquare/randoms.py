@@ -230,8 +230,9 @@ def ideal_checks(
         )
     )
 
-    # bounds chain: exact betti <= complex face counts == enumerated f-vector
-    # <= skeleton bound, through every dimension with a nonzero entry anywhere
+    # bounds chain: exact betti <= deletion bound == f-vector counted over the
+    # facet nerve <= skeleton bound, through every dimension with a nonzero
+    # entry anywhere
     # the sweep has no Taylor flag, so only the face cap bounds this complex
     taylor = taylor_complex(square, max_vertices=square.q)
     beta = betti_numbers(taylor, square, field, limits=limits)
@@ -243,12 +244,12 @@ def ideal_checks(
         b = beta.total.get(d, 0)
         refined = l2.deletion_face_bound(record, d)
         coarse = l2.skeleton_face_bound(q, d)
-        enumerated = fv[d] if d < len(fv) else 0
-        if not (b <= refined <= coarse) or refined != enumerated:
+        counted = fv[d] if d < len(fv) else 0
+        if not (b <= refined <= coarse) or refined != counted:
             chain_ok = False
             detail = (
                 f"d={d} beta={b} refined={refined} skeleton={coarse} "
-                f"enumerated={enumerated}"
+                f"counted={counted}"
             )
             break
     out.append(CheckResult("bound-chain", chain_ok, detail))

@@ -6,13 +6,19 @@ matrices are dense lists, ranks are computed with Fraction (or mod-p) Gaussian
 elimination, restrictions filter explicit faces by their labels, and the
 quasi-forest references search every leaf order or test the chordal-graph
 characterization directly.
+
+Two kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
+is the package's boundary-rank pass without clearing, on the package's own
+rank kernels, so a test can isolate the clearing; and the small helpers at the
+end (`delete_vertex`, `top_label`, ...) are conveniences only the tests use.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from lsquare.complexes import SimplicialComplex
-from lsquare.labeled import LabeledComplex
+from lsquare.complexes import SimplicialComplex, induced_subcomplex
+from lsquare.homology import PrimeField, matrix_rank
+from lsquare.labeled import BettiTable, LabeledComplex
 
 
 def brute_faces(facets):
@@ -25,17 +31,19 @@ def brute_faces(facets):
     return faces
 
 
-def dense_rank(matrix, p=None):
+def dense_pivot_columns(matrix, p=None):
+    """Pivot columns of the reduced row echelon form, ascending: the smallest
+    nonzero index of each row of an echelon basis of the row space."""
     if not matrix or not matrix[0]:
-        return 0
+        return []
     if p is None:
         rows = [[Fraction(v) for v in row] for row in matrix]
     else:
         rows = [[v % p for v in row] for row in matrix]
     nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    col = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for r in range(rank, nrows):
             if rows[r][col]:
@@ -60,10 +68,14 @@ def dense_rank(matrix, p=None):
                     rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
                 else:
                     rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return rank
+    return pivots
+
+
+def dense_rank(matrix, p=None):
+    return len(dense_pivot_columns(matrix, p))
 
 
 def brute_reduced_homology(facets, p=None):
@@ -98,6 +110,36 @@ def brute_reduced_homology(facets, p=None):
         n = len(by_dim.get(d, ()))
         ranks[d] = n - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
     return ranks
+
+
+def plain_ranks_from_face_masks(faces, field):
+    """Reduced homology ranks of a subset-closed mask family, every boundary
+    map ranked in full (no clearing) with the package's `matrix_rank`."""
+    if not faces:
+        return {}
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    for lst in by_dim.values():
+        lst.sort()
+    gf2 = isinstance(field, PrimeField) and field.p == 2
+    boundary_rank = {}
+    for d in range(max(by_dim) + 1):
+        if d - 1 not in by_dim:
+            continue
+        rows = {mask: k for k, mask in enumerate(by_dim[d - 1])}
+        columns = []
+        for mask in by_dim[d]:
+            bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+            entries = {rows[mask ^ (1 << b)]: (-1) ** pos for pos, b in enumerate(bits)}
+            columns.append(sum(1 << r for r in entries) if gf2 else entries)
+        boundary_rank[d] = matrix_rank(columns, field)
+    return {
+        d: len(by_dim.get(d, ()))
+        - boundary_rank.get(d, 0)
+        - boundary_rank.get(d + 1, 0)
+        for d in range(-1, max(by_dim) + 1)
+    }
 
 
 def brute_connected(facets):
@@ -252,3 +294,42 @@ def is_chordal_clique_complex(facets):
                     cliques.add(frozenset(sub) | {v})
     maximal = [c for c in cliques if not any(c < d for d in cliques)]
     return all(c in facets for c in maximal)
+
+
+def enumerated_f_vector(delta):
+    """Face counts by dimension from 0, over the explicitly listed faces."""
+    counts = [0] * (delta.dim + 1)
+    for f in brute_faces(delta.facets):
+        if f:
+            counts[len(f) - 1] += 1
+    return tuple(counts)
+
+
+def faces_by_dim(delta):
+    """Every face grouped by dimension; the empty face sits at dimension -1."""
+    out = {}
+    for f in brute_faces(delta.facets):
+        out.setdefault(len(f) - 1, []).append(frozenset(f))
+    for lst in out.values():
+        lst.sort(key=lambda f: tuple(sorted(f)))
+    return out
+
+
+def delete_vertex(delta, v):
+    if v not in delta.vertices:
+        raise ValueError(f"vertex {v} is not in the complex")
+    return induced_subcomplex(delta, delta.vertices - {v}, warn_unknown=False)
+
+
+def empty_or_connected(delta):
+    return delta.is_empty or brute_connected(delta.facets)
+
+
+def top_label(lab):
+    """The lcm of every vertex label."""
+    return lab.face_label(lab.complex.vertices)
+
+
+def betti_upper_bounds(lab):
+    """Face counts of the complex, an entrywise bound for the Betti numbers."""
+    return BettiTable({d: c for d, c in enumerate(enumerated_f_vector(lab.complex))})

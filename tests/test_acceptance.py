@@ -23,12 +23,15 @@ from lsquare.l2 import (
 from lsquare.labeled import (
     LabeledComplex,
     betti_numbers,
-    betti_upper_bounds,
     taylor_complex,
 )
 from lsquare.monomials import parse_ideal, parse_monomial
 
-from oracles import backtrack_leaf_order, is_chordal_clique_complex
+from oracles import (
+    backtrack_leaf_order,
+    betti_upper_bounds,
+    is_chordal_clique_complex,
+)
 
 SUBSAMPLE_SEED = 815
 

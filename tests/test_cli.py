@@ -232,3 +232,28 @@ def test_verify_runs_past_the_default_taylor_cap(capsys):
     )
     assert code == 0, err
     assert "summary: 15/15 instances passed" in out
+
+
+def test_verify_counts_faces_of_a_q8_complex_without_listing_them(capsys):
+    # draw 7 of seed 1 keeps an off-diagonal facet of 27 vertices; its 2^27
+    # faces once stopped the sweep at the face cap
+    code, out, err = run(
+        capsys, "verify", "--max-q", "8", "--max-n", "8", "--count", "10",
+        "--seed", "1", "--no-fixture",
+    )
+    assert code == 0, err
+    assert "summary: 10/10 instances passed" in out
+
+
+def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
+    # the face count walks the nerve of the facets; 40 edges on one apex give
+    # a nerve of 2^40 faces, which must end in exit 3, not a hang
+    fan = complexes.SimplicialComplex.from_facets([{0, v} for v in range(1, 41)])
+    count = complexes.f_vector
+    monkeypatch.setattr(complexes, "f_vector", lambda delta, limits: count(fan, limits))
+    code, out, err = run(
+        capsys, "verify", "--seed", "1", "--count", "1", "--max-faces", "100000"
+    )
+    assert code == 3 and out == ""
+    assert "nerve enumeration exceeded the face cap" in err
+    assert err.rstrip().endswith("raise --max-faces (env LSQUARE_MAX_FACES)")

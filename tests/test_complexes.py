@@ -8,21 +8,23 @@ from lsquare.complexes import (
     SimplicialComplex,
     complex_from_json,
     complex_to_json,
-    delete_vertex,
-    empty_or_connected,
     f_vector,
-    faces_by_dim,
     induced_subcomplex,
     is_connected,
     quasi_forest_order,
     reduced_homology_ranks,
     verify_leaf_order,
 )
-from lsquare.l2 import l2_skeleton, pair_index
+from lsquare.homology import HomologyLimits, ResourceLimit
+from lsquare.l2 import l2_skeleton, pair_index, skeleton_face_bound
 
 from oracles import (
     backtrack_leaf_order,
     brute_connected,
+    delete_vertex,
+    empty_or_connected,
+    enumerated_f_vector,
+    faces_by_dim,
     is_chordal_clique_complex,
     leaf_by_definition,
 )
@@ -62,6 +64,33 @@ def test_void_and_empty_distinction():
 
 def test_f_vector_triangle():
     assert f_vector(SimplicialComplex.from_facets([{1, 2, 3}])) == (3, 3, 1)
+
+
+@given(facet_lists)
+@settings(max_examples=100, deadline=None)
+def test_f_vector_counts_the_enumerated_faces(facets):
+    delta = SimplicialComplex.from_facets(facets)
+    assert f_vector(delta) == enumerated_f_vector(delta)
+
+
+def test_f_vector_of_a_big_facet_lists_no_faces():
+    # the q = 8 skeleton has an off-diagonal facet on 28 vertices (2^28 faces)
+    # and a facet nerve of a few dozen subfamilies
+    fv = f_vector(l2_skeleton(8), HomologyLimits(max_faces=1000))
+    assert list(fv) == [skeleton_face_bound(8, d) for d in range(28)]
+
+
+def test_f_vector_stops_at_the_face_cap_on_a_huge_nerve():
+    # 40 edges on one apex: every subfamily of facets meets, so the nerve has
+    # 2^40 faces; the walk must stop at the cap instead of listing them
+    fan = SimplicialComplex.from_facets([{0, v} for v in range(1, 41)])
+    with pytest.raises(ResourceLimit) as err:
+        f_vector(fan, HomologyLimits(max_faces=10_000))
+    assert (err.value.cap, err.value.estimate, err.value.limit) == (
+        "max-faces",
+        1 << 40,
+        10_000,
+    )
 
 
 def test_faces_by_dim_includes_empty_face():

@@ -11,17 +11,25 @@ from lsquare.homology import (
     RATIONALS,
     ResourceLimit,
     _is_prime,
+    _nerve_face_masks,
     enumerate_face_masks,
+    matrix_rank,
     maximal_masks,
     parse_field,
     rank_gf2,
     rank_gfp,
     rank_rational,
+    ranks_from_face_masks,
     ranks_from_members,
     strong_core,
 )
 
-from oracles import brute_reduced_homology, dense_rank
+from oracles import (
+    brute_reduced_homology,
+    dense_pivot_columns,
+    dense_rank,
+    plain_ranks_from_face_masks,
+)
 
 
 def cx(*facets):
@@ -163,6 +171,42 @@ def test_routed_ranks_agree_with_forced_routes_and_the_oracle(members):
         assert ranks_from_members(members, field, force="nerve") == want
 
 
+@given(member_families)
+@settings(max_examples=100, deadline=None)
+def test_cleared_ranks_equal_plain_ranks_and_the_oracle(members):
+    facets = [tuple(b for b in range(9) if m >> b & 1) for m in members]
+    faces = enumerate_face_masks(members, 1 << 12)
+    live = maximal_masks(members)
+    nerve = _nerve_face_masks(live, 1 << 12) if live else set()
+    for field, p in ((RATIONALS, None), (PrimeField(2), 2), (PrimeField(3), 3)):
+        want = brute_reduced_homology(facets, p=p)
+        assert ranks_from_face_masks(faces, field) == want
+        assert plain_ranks_from_face_masks(faces, field) == want
+        assert ranks_from_face_masks(nerve, field) == plain_ranks_from_face_masks(
+            nerve, field
+        )
+
+
+def test_clearing_goes_through_matrix_rank_for_every_dimension(monkeypatch):
+    # on the boundary of a tetrahedron, clearing leaves 3 of the 6 edge
+    # columns and 1 of the 4 vertex columns, and every dimension is still
+    # ranked through matrix_rank
+    import lsquare.homology as hml
+
+    calls = []
+
+    def spy(columns, field, pivots=None):
+        calls.append(len(columns))
+        return matrix_rank(columns, field, pivots)
+
+    monkeypatch.setattr(hml, "matrix_rank", spy)
+    faces = enumerate_face_masks(simplex_boundary(4), 1 << 10)
+    assert ranks_from_face_masks(faces, RATIONALS) == {-1: 0, 0: 0, 1: 0, 2: 1}
+    # d_2: 4 triangles; d_1: 6 edges less the 3 pivots of d_2; d_0: 4 vertices
+    # less the 3 pivots of d_1
+    assert calls == [4, 3, 1]
+
+
 def test_maximal_masks():
     assert maximal_masks([0b01, 0b11, 0b11, 0, 0b100]) == [0b11, 0b100]
 
@@ -238,6 +282,29 @@ def test_rank_functions_match_dense_oracle():
             sum(1 << j for j, v in enumerate(row) if v % 2) for row in dense
         ]
         assert rank_gf2(bits) == dense_rank(dense, p=2)
+
+
+def test_rank_kernels_report_the_smallest_index_pivots():
+    # the pivots of a smallest-index elimination are the pivot columns of the
+    # reduced row echelon form, whatever the order of the rows
+    rng = random.Random(24)
+    for _ in range(80):
+        nrows = rng.randint(1, 7)
+        ncols = rng.randint(1, 7)
+        dense = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        bits = [sum(1 << j for j, v in enumerate(row) if v % 2) for row in dense]
+        want = {p: dense_pivot_columns(dense, p) for p in (None, 3, 2)}
+        for run, p in (
+            (lambda piv: rank_rational(sparse, piv), None),
+            (lambda piv: matrix_rank(sparse, RATIONALS, piv), None),
+            (lambda piv: rank_gfp(sparse, 3, piv), 3),
+            (lambda piv: rank_gf2(bits, piv), 2),
+            (lambda piv: matrix_rank(bits, PrimeField(2), piv), 2),
+        ):
+            pivots = set()
+            assert run(pivots) == len(want[p])
+            assert sorted(pivots) == want[p]
 
 
 def test_prime_field_is_fast_on_large_primes():

@@ -25,6 +25,8 @@ from lsquare.labeled import betti_numbers
 from lsquare.monomials import parse_ideal
 from lsquare.randoms import sample_ideal
 
+from oracles import enumerated_f_vector
+
 
 def test_pair_vertex_normalizes():
     assert PairVertex(3, 1) == PairVertex(1, 3)
@@ -109,7 +111,7 @@ def test_running_example_deletion():
 
 
 def test_running_example_matches_vertex_deletion():
-    from lsquare.complexes import delete_vertex
+    from oracles import delete_vertex
 
     I, _ = parse_ideal("abe,bc,cdf,ad")
     lab, _ = l2_of_ideal(I)
@@ -195,6 +197,7 @@ def test_deletion_bound_equals_enumerated_f_vector():
         ideal = sample_ideal(rng, 7, 6)
         lab, record = l2_of_ideal(ideal)
         fv = f_vector(lab.complex)
+        assert fv == enumerated_f_vector(lab.complex)
         for d in range(len(fv) + 2):
             expected = fv[d] if d < len(fv) else 0
             assert deletion_face_bound(record, d) == expected

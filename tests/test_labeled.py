@@ -11,7 +11,6 @@ from lsquare.labeled import (
     NotQuasiForest,
     UnsupportedComplex,
     betti_numbers,
-    betti_upper_bounds,
     labeled_from_json,
     labeled_to_json,
     supports_resolution_homological,
@@ -29,7 +28,13 @@ from lsquare.monomials import (
 )
 from lsquare.randoms import sample_ideal
 
-from oracles import brute_faces, restrict_divides, restrict_strict
+from oracles import (
+    betti_upper_bounds,
+    brute_faces,
+    restrict_divides,
+    restrict_strict,
+    top_label,
+)
 
 XYZ = VariableTable(("x", "y", "z"))
 
@@ -70,7 +75,7 @@ def test_face_label_is_lcm():
     lab = figure_complex()
     assert lab.face_label({0, 1, 2}) == mono("x^2yz")
     assert lab.face_label(()) == XYZ.one()
-    assert lab.top_label() == mono("x^2y^2z^2")
+    assert top_label(lab) == mono("x^2y^2z^2")
 
 
 def test_taylor_complex_shapes():
@@ -97,7 +102,7 @@ def test_taylor_complex_vertex_cap():
 
 def test_restrict_divides_examples():
     lab = figure_complex()
-    everything = restrict_divides(lab, lab.top_label())
+    everything = restrict_divides(lab, top_label(lab))
     assert everything.complex == lab.complex
 
     # m = x^2yz keeps x^2, xy, xz and also yz (yz divides x^2yz)
@@ -286,7 +291,7 @@ def test_betti_vanishes_off_the_lattice():
     ideal, _ = parse_ideal("xy,yz,zx")
     lab = taylor_complex(ideal)
     lattice = lcm_lattice(ideal)
-    top = lab.top_label()
+    top = top_label(lab)
     from itertools import product
 
     from lsquare.homology import ranks_from_members
