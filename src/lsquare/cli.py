@@ -34,42 +34,42 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 EXIT_RESOURCE = 3
 
-_CAP_FLAGS = {
-    "max-faces": "--max-faces (env LSQUARE_MAX_FACES)",
-    "max-taylor": "--max-taylor (env LSQUARE_MAX_TAYLOR)",
-    "max-q": "--max-q (env LSQUARE_MAX_Q)",
+# cap name -> (environment override, default, help)
+_CAPS = {
+    "max-faces": ("LSQUARE_MAX_FACES", 1 << 22, "cap on enumerated faces"),
+    "max-taylor": ("LSQUARE_MAX_TAYLOR", 22, "cap on Taylor complex vertices"),
+    "max-q": ("LSQUARE_MAX_Q", 7, "cap on generator count for exact computations"),
 }
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a bad command line, the code of a false criterion;
+    this parser exits 1, the code of a usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table"
-    )
-    parser.add_argument("--field", default="rational", help="rational or gf:p")
+def _add_ideal(parser, name="ideal", **kwargs) -> None:
+    parser.add_argument(name, **kwargs)
     parser.add_argument("--vars", default=None, help="comma-separated variable order")
-    parser.add_argument(
-        "--max-faces",
-        type=int,
-        default=_env_int("LSQUARE_MAX_FACES", 1 << 22),
-        help="cap on enumerated faces",
-    )
-    parser.add_argument(
-        "--max-taylor",
-        type=int,
-        default=_env_int("LSQUARE_MAX_TAYLOR", 22),
-        help="cap on Taylor complex vertices",
-    )
-    parser.add_argument(
-        "--max-q",
-        type=int,
-        default=_env_int("LSQUARE_MAX_Q", 7),
-        help="cap on generator count for exact computations",
-    )
+
+
+def _add_options(parser, formats=(), field=False, caps=()) -> None:
+    """The output format, field and resource caps a subcommand reads; a
+    subcommand is given only the ones it reads."""
+    if formats:
+        parser.add_argument("--format", choices=formats, default="table")
+    if field:
+        parser.add_argument("--field", default="rational", help="rational or gf:p")
+    for cap in caps:
+        env, default, text = _CAPS[cap]
+        # argparse runs `type` on a string default, so a bad override is a
+        # usage error too
+        parser.add_argument(
+            f"--{cap}", type=int, default=os.environ.get(env) or default, help=text
+        )
 
 
 def _limits(args) -> HomologyLimits:
@@ -306,7 +306,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lsquare",
         description=(
             "Support complexes, exact Betti numbers, and face-count bounds "
@@ -314,55 +314,51 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every_format = ("table", "json", "csv")
 
     p = sub.add_parser("power", help="minimal generators of a power of the ideal")
-    p.add_argument("ideal")
+    _add_ideal(p)
     p.add_argument("-r", "--power", type=int, default=2)
-    _add_common(p)
+    _add_options(p, formats=("table", "json"))
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("build-l2", help="the labeled complex specialized to the ideal")
-    p.add_argument("ideal")
-    _add_common(p)
+    _add_ideal(p)
+    _add_options(p, formats=("table", "json"), caps=("max-q",))
     p.set_defaults(func=cmd_build_l2)
 
     p = sub.add_parser("check-support", help="run both support criteria")
-    p.add_argument("--ideal", required=True)
+    _add_ideal(p, "--ideal", required=True)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--complex", default=None, help="labeled complex JSON file")
-    _add_common(p)
+    _add_options(p, field=True, caps=("max-faces", "max-taylor", "max-q"))
     p.set_defaults(func=cmd_check_support)
 
     p = sub.add_parser("betti", help="exact Betti numbers from a supporting complex")
-    p.add_argument("ideal")
+    _add_ideal(p)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--graded", action="store_true", help="include multidegree rows")
     p.add_argument("--complex", default=None, help="labeled complex JSON file")
-    _add_common(p)
+    _add_options(
+        p, formats=every_format, field=True, caps=("max-faces", "max-taylor", "max-q")
+    )
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("bounds", help="bound comparison table for the square")
-    p.add_argument("ideal")
+    _add_ideal(p)
     p.add_argument("--no-exact", action="store_true", help="skip the exact Betti row")
     p.add_argument("--max-d", type=int, default=None)
-    _add_common(p)
+    _add_options(p, formats=every_format, field=True, caps=("max-faces", "max-q"))
     p.set_defaults(func=cmd_bounds)
 
-    # verify owns --max-q/--max-n as sweep ranges; resource caps stay on env vars
+    # verify owns --max-q/--max-n as sweep ranges, so --max-faces is its one cap
     p = sub.add_parser("verify", help="seeded random sweep of the invariant suite")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-q", type=int, default=4)
     p.add_argument("--no-fixture", action="store_true", help="skip the sharpness fixture")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--field", default="rational", help="rational or gf:p")
-    p.add_argument(
-        "--max-faces",
-        type=int,
-        default=_env_int("LSQUARE_MAX_FACES", 1 << 22),
-        help="cap on enumerated faces",
-    )
+    _add_options(p, formats=("table", "json"), field=True, caps=("max-faces",))
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -380,7 +376,7 @@ def main(argv=None) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ResourceLimit as exc:
-        flag = _CAP_FLAGS.get(exc.cap, exc.cap)
+        flag = f"--{exc.cap} (env {_CAPS[exc.cap][0]})" if exc.cap in _CAPS else exc.cap
         print(f"resource limit: {exc}; raise {flag}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

@@ -69,10 +69,6 @@ class SimplicialComplex:
             m |= 1 << order[v]
         return m
 
-    def unmask(self, mask: int) -> frozenset:
-        verts = sorted(self.vertices)
-        return frozenset(verts[b] for b in hml._bits(mask))
-
     @cached_property
     def facet_masks(self) -> tuple[int, ...]:
         return tuple(self.mask_of(f) for f in self.facets)
@@ -140,14 +136,13 @@ def reduced_homology_ranks(
     delta: SimplicialComplex,
     field: Field = RATIONALS,
     limits: HomologyLimits = DEFAULT_LIMITS,
-    force: str | None = None,
 ) -> dict[int, int]:
     """Reduced homology ranks {dim: rank}; see the homology module for conventions."""
     if delta.is_void:
         return {}
     if delta.is_empty:
         return {-1: 1}
-    return hml.ranks_from_members(delta.facet_masks, field, limits, force)
+    return hml.ranks_from_members(delta.facet_masks, field, limits)
 
 
 # ---------------------------------------------------------------------------

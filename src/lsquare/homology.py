@@ -473,16 +473,14 @@ def ranks_from_members(
     members,
     field: Field = RATIONALS,
     limits: HomologyLimits = DEFAULT_LIMITS,
-    force: str | None = None,
 ) -> dict[int, int]:
     """Reduced homology ranks of the union of simplexes on the given vertex masks.
 
-    By default the family is first shrunk to its `strong_core`, which has the
-    same reduced homology; a core that is one simplex is acyclic.  The core is
-    enumerated when its face-count estimate fits the budget, and handed to the
-    nerve reduction otherwise.  `force` pins the strategy to "enumerate" or
-    "nerve" on the unreduced family (used by cross-checks).  Keys run from -1
-    to the dimension of the whole complex either way.
+    The family is first shrunk to its `strong_core`, which has the same reduced
+    homology; a core that is one simplex is acyclic.  The core is enumerated
+    when its face-count estimate fits the budget, and handed to the nerve
+    reduction otherwise.  Keys run from -1 to the dimension of the whole
+    complex.
     """
     members = list(members)
     if not members:
@@ -493,30 +491,20 @@ def ranks_from_members(
     dim = max(m.bit_count() for m in live) - 1
     out = {d: 0 for d in range(-1, dim + 1)}
 
-    if force is None:
-        live = strong_core(live)
-        if len(live) == 1:
-            return out
-        # route by size estimates: faces of the union vs faces of its nerve
-        est_enum = estimated_face_count(live)
-        est_nerve = 1 << len(live)
-        if (
-            est_enum <= limits.enumeration_budget
-            or est_enum <= est_nerve
-            or len(live) > limits.max_nerve_members
-        ):
-            mode = "enumerate"
-        else:
-            mode = "nerve"
+    live = strong_core(live)
+    if len(live) == 1:
+        return out
+    # route by size estimates: faces of the union vs faces of its nerve
+    est_enum = estimated_face_count(live)
+    if (
+        est_enum <= limits.enumeration_budget
+        or est_enum <= 1 << len(live)
+        or len(live) > limits.max_nerve_members
+    ):
+        faces = enumerate_face_masks(live, limits.max_faces)
     else:
-        mode = force
-    if mode == "enumerate":
-        ranks = ranks_from_face_masks(enumerate_face_masks(live, limits.max_faces), field)
-    elif mode == "nerve":
-        ranks = ranks_from_face_masks(_nerve_face_masks(live, limits.max_faces), field)
-    else:
-        raise ValueError(f"unknown strategy {mode!r}")
-    for d, r in ranks.items():
+        faces = _nerve_face_masks(live, limits.max_faces)
+    for d, r in ranks_from_face_masks(faces, field).items():
         if d <= dim:
             out[d] = r
         elif r:

@@ -130,14 +130,15 @@ def generator_triple_property(ideal: MonomialIdeal, powers=(2, 3)) -> CheckResul
 
     gens = ideal.gens
     for r in powers:
-        for i, g in enumerate(gens):
-            gr = g
-            for _ in range(r - 1):
-                gr = gr * g
-            for combo in itertools.combinations_with_replacement(range(len(gens)), r):
-                prod = gens[combo[0]]
-                for k in combo[1:]:
-                    prod = prod * gens[k]
+        products = {}
+        for combo in itertools.combinations_with_replacement(range(len(gens)), r):
+            prod = gens[combo[0]]
+            for k in combo[1:]:
+                prod = prod * gens[k]
+            products[combo] = prod
+        for i in range(len(gens)):
+            gr = products[(i,) * r]
+            for combo, prod in products.items():
                 if (gr.divides(prod) or prod.divides(gr)) and combo != (i,) * r:
                     return CheckResult(
                         "generator-power-triples",
@@ -154,18 +155,19 @@ def partner_generator_property(ideal: MonomialIdeal) -> CheckResult:
     q = len(gens)
     if q < 2:
         return CheckResult("irredundant-partner", True)
+    product = {(u, v): gens[u] * gens[v] for u in range(q) for v in range(u, q)}
     for i in range(q):
         found = False
         for j in range(q):
             if j == i:
                 continue
-            pij = gens[i] * gens[j]
+            pij = product[min(i, j), max(i, j)]
             ok = True
             for u in range(q):
                 for v in range(u, q):
                     if {u, v} & {i, j}:
                         continue
-                    if (gens[u] * gens[v]).divides(pij):
+                    if product[u, v].divides(pij):
                         ok = False
                         break
                 if not ok:
@@ -197,10 +199,20 @@ def ideal_checks(
 
     try:
         lab, record = l2.l2_of_ideal(ideal)
-        out.append(CheckResult("labels-match-square", True))
-    except AssertionError as exc:
-        out.append(CheckResult("labels-match-square", False, str(exc)))
+    except AssertionError as exc:  # a diagonal pair was deleted
+        out.append(CheckResult("diagonal-survives", False, str(exc)))
         return out
+    labels = list(lab.labels.values())
+    if len(labels) != square.q or set(labels) != set(square.gens):
+        out.append(
+            CheckResult(
+                "labels-match-square",
+                False,
+                "surviving labels disagree with the minimal generators of the square",
+            )
+        )
+        return out
+    out.append(CheckResult("labels-match-square", True))
 
     out.append(
         CheckResult(

@@ -7,17 +7,28 @@ elimination, restrictions filter explicit faces by their labels, and the
 quasi-forest references search every leaf order or test the chordal-graph
 characterization directly.
 
-Two kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
+Three kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
 is the package's boundary-rank pass without clearing, on the package's own
-rank kernels, so a test can isolate the clearing; and the small helpers at the
-end (`delete_vertex`, `top_label`, ...) are conveniences only the tests use.
+rank kernels, so a test can isolate the clearing; `forced_ranks` runs one of
+the package's two face routes on the unreduced family, so a test can compare
+the routes; and the small helpers at the end (`delete_vertex`, `top_label`,
+...) are conveniences only the tests use.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from lsquare.complexes import SimplicialComplex, induced_subcomplex
-from lsquare.homology import PrimeField, matrix_rank
+from lsquare.homology import (
+    DEFAULT_LIMITS,
+    RATIONALS,
+    PrimeField,
+    _nerve_face_masks,
+    enumerate_face_masks,
+    matrix_rank,
+    maximal_masks,
+    ranks_from_face_masks,
+)
 from lsquare.labeled import BettiTable, LabeledComplex
 
 
@@ -140,6 +151,29 @@ def plain_ranks_from_face_masks(faces, field):
         - boundary_rank.get(d + 1, 0)
         for d in range(-1, max(by_dim) + 1)
     }
+
+
+def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
+    """Reduced homology ranks of the union of simplexes on the vertex masks,
+    by one route ("enumerate" or "nerve") of the package, on the unreduced
+    family: no strong-collapse core and no routing.  Keys are padded from -1
+    to the dimension of the complex, as `ranks_from_members` pads them, and the
+    walk runs under the same face cap."""
+    members = list(members)
+    if not members:
+        return {}
+    live = maximal_masks(members)
+    if not live:
+        return {-1: 1}
+    walk = {"enumerate": enumerate_face_masks, "nerve": _nerve_face_masks}[route]
+    dim = max(m.bit_count() for m in live) - 1
+    out = {d: 0 for d in range(-1, dim + 1)}
+    for d, r in ranks_from_face_masks(walk(live, limits.max_faces), field).items():
+        if d <= dim:
+            out[d] = r
+        elif r:
+            raise AssertionError("homology above the complex dimension")
+    return out
 
 
 def brute_connected(facets):

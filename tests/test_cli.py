@@ -1,13 +1,90 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from lsquare import complexes
 from lsquare.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_exit(capsys, *argv):
+    """The exit code of a command line that argparse itself ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_usage_errors_exit_one_not_the_fail_code(capsys):
+    # exit 2 means "a checked criterion is false"; a bad command line is not that
+    for argv in (
+        ["betti", "--bogus", "x,y"],
+        ["verify", "--count", "abc"],
+        ["betti"],
+        ["betti", "x,y", "--format", "xml"],
+        [],
+    ):
+        code, out, err = parse_exit(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and "usage: lsquare" in err, argv
+    code, out, _ = parse_exit(capsys, "--help")
+    assert code == 0 and "usage: lsquare" in out
+    code, out, _ = parse_exit(capsys, "betti", "--help")
+    assert code == 0 and "--max-taylor" in out
+
+
+def test_usage_error_exit_code_of_the_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsquare.cli", "betti", "--bogus", "x,y"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and "--bogus" in proc.stderr
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys):
+    unread = (
+        ["power", "x,y", "--field", "gf:2"],
+        ["power", "x,y", "--max-faces", "1"],
+        ["power", "x,y", "--max-taylor", "1"],
+        ["power", "x,y", "--max-q", "1"],
+        ["build-l2", "x,y", "--field", "gf:2"],
+        ["build-l2", "x,y", "--max-faces", "1"],
+        ["build-l2", "x,y", "--max-taylor", "1"],
+        ["bounds", "x,y", "--max-taylor", "1"],
+        ["check-support", "--ideal", "x,y", "--format", "json"],
+    )
+    for argv in unread:
+        code, _, err = parse_exit(capsys, *argv)
+        assert code == 1 and "unrecognized arguments" in err, argv
+    # csv only where a table of rows is printed
+    for argv in (["power", "x,y", "--format", "csv"], ["build-l2", "x,y", "--format", "csv"]):
+        code, _, err = parse_exit(capsys, *argv)
+        assert code == 1 and "invalid choice: 'csv'" in err, argv
+    # what each subcommand does read still parses
+    for argv in (
+        ["power", "x,y", "--vars", "y,x", "-r", "3", "--format", "json"],
+        ["build-l2", "x,y", "--vars", "y,x", "--max-q", "2", "--format", "json"],
+        ["bounds", "x,y", "--field", "gf:2", "--max-faces", "100", "--max-q", "2",
+         "--format", "csv"],
+        ["check-support", "--ideal", "x,y", "--power", "2", "--field", "gf:2",
+         "--max-faces", "100", "--max-taylor", "5", "--max-q", "2", "--vars", "x,y"],
+        ["betti", "x,y", "--power", "2", "--field", "gf:2", "--max-faces", "100",
+         "--max-taylor", "5", "--max-q", "2", "--vars", "x,y", "--format", "csv"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_power_command(capsys):
@@ -192,6 +269,9 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == 0  # power has no q cap
     code, _, err = run(capsys, "bounds", "x,y,z,w")
     assert code == 3 and "--max-q" in err
+    monkeypatch.setenv("LSQUARE_MAX_Q", "three")
+    code, _, err = parse_exit(capsys, "bounds", "x,y,z,w")
+    assert code == 1 and "invalid int value: 'three'" in err
 
 
 def test_verify_command_deterministic(capsys):

@@ -28,6 +28,7 @@ from oracles import (
     brute_reduced_homology,
     dense_pivot_columns,
     dense_rank,
+    forced_ranks,
     plain_ranks_from_face_masks,
 )
 
@@ -90,8 +91,8 @@ def test_nerve_route_equals_enumeration_route():
         ]
         delta = SimplicialComplex.from_facets(facets)
         for field in (RATIONALS, PrimeField(2)):
-            via_enum = reduced_homology_ranks(delta, field, force="enumerate")
-            via_nerve = reduced_homology_ranks(delta, field, force="nerve")
+            via_enum = forced_ranks(delta.facet_masks, "enumerate", field)
+            via_nerve = forced_ranks(delta.facet_masks, "nerve", field)
             assert via_enum == via_nerve, facets
 
 
@@ -167,8 +168,8 @@ def test_routed_ranks_agree_with_forced_routes_and_the_oracle(members):
         want = brute_reduced_homology(facets, p=p)
         assert ranks_from_members(members, field) == want
         assert ranks_from_members(members, field, NERVE_WHEN_SMALLER) == want
-        assert ranks_from_members(members, field, force="enumerate") == want
-        assert ranks_from_members(members, field, force="nerve") == want
+        assert forced_ranks(members, "enumerate", field) == want
+        assert forced_ranks(members, "nerve", field) == want
 
 
 @given(member_families)
@@ -240,7 +241,7 @@ def test_nerve_cap_falls_back_to_enumeration():
     members = simplex_boundary(6)
     tight = HomologyLimits(enumeration_budget=1, max_nerve_members=2)
     for field in (RATIONALS, PrimeField(2)):
-        want = ranks_from_members(members, field, force="enumerate")
+        want = forced_ranks(members, "enumerate", field)
         assert want == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
         assert ranks_from_members(members, field, tight) == want
 
@@ -254,7 +255,7 @@ def test_nerve_fallback_reports_the_face_cap():
     assert (err.value.estimate, err.value.limit) == (192, 20)
     # the nerve's own face cap reports the 2^6 subfamilies as its estimate
     with pytest.raises(ResourceLimit) as err:
-        ranks_from_members(members, RATIONALS, HomologyLimits(max_faces=3), force="nerve")
+        forced_ranks(members, "nerve", RATIONALS, HomologyLimits(max_faces=3))
     assert (err.value.cap, err.value.estimate, err.value.limit) == ("max-faces", 64, 3)
 
 
@@ -262,7 +263,7 @@ def test_homology_respects_face_cap():
     big = cx(set(range(18)))
     tight = HomologyLimits(max_faces=100, enumeration_budget=1 << 20)
     with pytest.raises(ResourceLimit):
-        reduced_homology_ranks(big, RATIONALS, tight, force="enumerate")
+        forced_ranks(big.facet_masks, "enumerate", RATIONALS, tight)
 
 
 def test_rank_functions_match_dense_oracle():

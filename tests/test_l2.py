@@ -22,7 +22,7 @@ from lsquare.l2 import (
     taylor_face_bound,
 )
 from lsquare.labeled import betti_numbers
-from lsquare.monomials import parse_ideal
+from lsquare.monomials import MonomialIdeal, parse_ideal
 from lsquare.randoms import sample_ideal
 
 from oracles import enumerated_f_vector
@@ -151,6 +151,21 @@ def test_labels_are_the_square_generators():
         sk = l2_skeleton(ideal.q)
         survivors = set(lab.complex.vertices)
         assert lab.complex == induced_subcomplex(sk, survivors, warn_unknown=False)
+
+
+def test_l2_of_ideal_builds_no_square(monkeypatch):
+    # the labels come from one pair-product table; comparing them with the
+    # square is the caller's check, on the square the caller already holds
+    def no_power(self, r):
+        raise AssertionError("l2_of_ideal built a power of the ideal")
+
+    I, _ = parse_ideal("abe,bc,cdf,ad")
+    square = I.power(2)
+    monkeypatch.setattr(MonomialIdeal, "power", no_power)
+    lab, record = l2_of_ideal(I)
+    labels = list(lab.labels.values())
+    assert len(labels) == square.q and set(labels) == set(square.gens)
+    assert record.deleted == {PairVertex(1, 3)}
 
 
 def test_equal_products_keep_one_representative():

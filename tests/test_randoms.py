@@ -1,10 +1,13 @@
 import random
 
 from lsquare import complexes as cx
+from lsquare import l2
 from lsquare.monomials import format_ideal, minimalize, parse_ideal
 from lsquare.randoms import (
     SweepConfig,
+    generator_triple_property,
     ideal_checks,
+    partner_generator_property,
     random_squarefree_ideal,
     run_sweep,
     sample_ideal,
@@ -82,3 +85,39 @@ def test_ideal_checks_reports_a_non_quasi_forest(monkeypatch):
     assert not results["support-connectivity"].passed
     for name in ("support-homology", "bound-chain", "irredundant-partner"):
         assert results[name].passed, name
+
+
+def test_ideal_checks_stops_when_the_labels_miss_a_square_generator(monkeypatch):
+    # delete one more off-diagonal pair than the scan finds: the labels then
+    # miss a minimal generator of the square, and nothing after runs on them
+    scan = l2._deletion_scan
+    monkeypatch.setattr(l2, "_deletion_scan", lambda products: scan(products) | {(1, 2)})
+    ideal, _ = parse_ideal("abe,bc,cdf,ad")
+    results = ideal_checks(ideal)
+    assert [c.name for c in results] == ["square-size", "labels-match-square"]
+    assert results[0].passed and not results[1].passed
+    assert results[1].detail == (
+        "surviving labels disagree with the minimal generators of the square"
+    )
+
+
+def test_ideal_checks_reports_a_deleted_diagonal_pair(monkeypatch):
+    scan = l2._deletion_scan
+    monkeypatch.setattr(l2, "_deletion_scan", lambda products: scan(products) | {(2, 2)})
+    ideal, _ = parse_ideal("abe,bc,cdf,ad")
+    results = ideal_checks(ideal)
+    assert [(c.name, c.passed) for c in results] == [
+        ("square-size", True),
+        ("diagonal-survives", False),
+    ]
+
+
+def test_brute_generator_checks_name_the_first_witness():
+    # (xy)^2 = x^2 * y^2: the square of generator 3 is the product of 1 and 2
+    ideal, _ = parse_ideal("x^2,y^2,xy")
+    result = generator_triple_property(ideal)
+    assert not result.passed and result.detail == "i=3 r=2 indices=(1, 2)"
+    assert partner_generator_property(ideal).passed
+    sharp, _ = parse_ideal("xabc,yade,zbdf,wcef")
+    assert generator_triple_property(sharp).passed
+    assert partner_generator_property(sharp).passed

@@ -32,9 +32,3 @@ def test_bound_tables_script_shows_the_sharp_example_is_minimal():
             label, values = line.split("|")
             rows[label.strip()] = values.split()
     assert rows["betti"] == rows["complex"] == ["10", "27", "32", "19", "6", "1", "0"]
-
-
-def test_sweep_checks_script_passes():
-    proc = run_script("sweep_checks.py", "--count", "20")
-    assert proc.returncode == 0, proc.stderr
-    assert "all invariants passed" in proc.stdout
