@@ -93,13 +93,16 @@ def _check_q_cap(q: int, args) -> None:
         raise ResourceLimit("ideal has too many generators", "max-q", q, args.max_q)
 
 
+_L2_SOURCE = "L2 complex of the ideal"
+
+
 def _labeled_complex(args, ideal, target):
     """The complex named by --complex, else L2(I) for a square, else Taylor's."""
     if args.complex:
         with open(args.complex) as fh:
             return labeled_from_json(json.load(fh), ideal.table), args.complex
     if args.power == 2 and ideal.is_squarefree():
-        return l2mod.l2_of_ideal(ideal)[0], "L2 complex of the ideal"
+        return l2mod.l2_of_ideal(ideal)[0], _L2_SOURCE
     return taylor_complex(target, max_vertices=args.max_taylor), "Taylor complex"
 
 
@@ -222,8 +225,11 @@ def cmd_betti(args) -> int:
     field = parse_field(args.field)
     limits = _limits(args)
     target = ideal.power(args.power) if args.power > 1 else ideal
-    lab, _source = _labeled_complex(args, ideal, target)
-    table = betti_numbers(lab, target, field, limits=limits)
+    lab, source = _labeled_complex(args, ideal, target)
+    if source == _L2_SOURCE:
+        table = l2mod.square_betti_numbers(lab, target, field, limits)
+    else:
+        table = betti_numbers(lab, target, field, limits=limits)
     max_d = table.max_d
     if args.format == "json":
         print(json.dumps(table.to_json(), indent=2))

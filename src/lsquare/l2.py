@@ -17,7 +17,14 @@ from math import comb
 
 from .complexes import SimplicialComplex, induced_subcomplex
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
-from .labeled import LabeledComplex, betti_numbers
+from .labeled import (
+    BettiTable,
+    LabeledComplex,
+    UnsupportedComplex,
+    betti_numbers,
+    supports_resolution_homological,
+    taylor_complex,
+)
 from .monomials import Monomial, MonomialIdeal
 
 
@@ -171,6 +178,27 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     return LabeledComplex(sub, labels, ideal.table), record
 
 
+def square_betti_numbers(
+    lab: LabeledComplex,
+    square: MonomialIdeal,
+    field: Field = RATIONALS,
+    limits: HomologyLimits = DEFAULT_LIMITS,
+) -> BettiTable:
+    """Betti numbers of the square once `lab`, its L2(I), is checked to support it.
+
+    The check is the paper's theorem, and a failure raises UnsupportedComplex.
+    Betti numbers are invariants of the square, so any supporting complex
+    gives them; they are read off the Taylor complex, whose strictly-below
+    restriction at m is a union of at most |supp m| simplexes, one per
+    variable of m, where L2(I) has one per facet and variable.
+    """
+    report = supports_resolution_homological(lab, square, field, limits)
+    if not report.supported:
+        raise UnsupportedComplex(report.witness, report.witness_dim)
+    taylor = taylor_complex(square, max_vertices=square.q)
+    return betti_numbers(taylor, square, field, limits)
+
+
 # ---------------------------------------------------------------------------
 # Face-count bounds.
 # ---------------------------------------------------------------------------
@@ -251,6 +279,6 @@ def bound_table(
         ("complex", [deletion_face_bound(record, d) for d in ds]),
     ]
     if include_exact:
-        table = betti_numbers(lab, ideal.power(2), field, limits=limits)
+        table = square_betti_numbers(lab, ideal.power(2), field, limits)
         rows.append(("betti", table.as_vector(max_d)))
     return BoundTable(q, record.s, record.t, max_d, rows)

@@ -172,10 +172,17 @@ def supports_resolution_homological(
     field: Field = RATIONALS,
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> SupportReport:
-    """Acyclicity criterion: every lcm-lattice restriction is empty or acyclic."""
+    """Acyclicity criterion: every lcm-lattice restriction is empty or acyclic.
+
+    A complex with one facet passes once its labels match: every restriction
+    of a simplex is empty or the simplex on the vertices it keeps, which is
+    acyclic.
+    """
     _check_labels_match(lab, ideal)
     facet_masks = lab.complex.facet_masks
     name = f"homological over {field}"
+    if len(facet_masks) == 1:
+        return SupportReport(True, name)
     for m in ideal.sorted_lattice:
         vm = lab._divisor_mask(m)
         members = [fm & vm for fm in facet_masks]
@@ -245,16 +252,21 @@ def betti_numbers(
     faces with label strictly dividing m, for m running over the lcm lattice
     (all other multidegrees contribute zero).  The homological support
     criterion is verified first and a failure raises UnsupportedComplex.
+
+    Restrictions whose strong-collapse cores are equal after renumbering are
+    ranked once: the call keeps one `ranks_from_members` memo, which is
+    dropped when it returns.
     """
     report = supports_resolution_homological(lab, ideal, field, limits)
     if not report.supported:
         raise UnsupportedComplex(report.witness, report.witness_dim)
     graded: dict[tuple[int, Monomial], int] = {}
     total: dict[int, int] = {}
+    memo: dict = {}
     for m in ideal.sorted_lattice:
         # all-zero member masks mean only the empty face survives, giving the
         # rank-1 contribution at homological dimension -1 (so beta_{0,m} = 1)
-        ranks = hml.ranks_from_members(lab._strict_members(m), field, limits)
+        ranks = hml.ranks_from_members(lab._strict_members(m), field, limits, memo)
         for d, r in ranks.items():
             if r:
                 graded[(d + 1, m)] = r

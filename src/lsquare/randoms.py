@@ -186,6 +186,15 @@ def ideal_checks(
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> list[CheckResult]:
     """The per-ideal invariant suite used by sweeps."""
+    return _checks_and_invariants(ideal, field, limits)[0]
+
+
+def _checks_and_invariants(
+    ideal: MonomialIdeal, field: Field, limits: HomologyLimits
+) -> tuple[list[CheckResult], tuple | None]:
+    """`ideal_checks`, and the deletion record of L2(I), the Betti table of
+    the square and the f-vector of L2(I) it computed on the way, as a triple
+    that is None when the suite stopped before them."""
     out: list[CheckResult] = []
     q = ideal.q
     square = ideal.power(2)
@@ -201,7 +210,7 @@ def ideal_checks(
         lab, record = l2.l2_of_ideal(ideal)
     except AssertionError as exc:  # a diagonal pair was deleted
         out.append(CheckResult("diagonal-survives", False, str(exc)))
-        return out
+        return out, None
     labels = list(lab.labels.values())
     if len(labels) != square.q or set(labels) != set(square.gens):
         out.append(
@@ -211,7 +220,7 @@ def ideal_checks(
                 "surviving labels disagree with the minimal generators of the square",
             )
         )
-        return out
+        return out, None
     out.append(CheckResult("labels-match-square", True))
 
     out.append(
@@ -268,18 +277,20 @@ def ideal_checks(
 
     out.append(generator_triple_property(ideal))
     out.append(partner_generator_property(ideal))
-    return out
+    return out, (record, beta, fv)
 
 
 def sharpness_fixture_checks(
     field: Field = RATIONALS, limits: HomologyLimits = DEFAULT_LIMITS
 ) -> list[CheckResult]:
-    """The 4-generator ideal whose complex loses no vertices and resolves minimally."""
+    """The 4-generator ideal whose complex loses no vertices and resolves
+    minimally, checked on the record, Betti table and f-vector that the
+    invariant suite computed."""
     ideal, _ = parse_ideal(SHARPNESS_IDEAL_TEXT)
-    out = ideal_checks(ideal, field, limits)
-    lab, record = l2.l2_of_ideal(ideal)
-    beta = betti_numbers(lab, ideal.power(2), field, limits=limits)
-    fv = cx.f_vector(lab.complex, limits)
+    out, found = _checks_and_invariants(ideal, field, limits)
+    if found is None:
+        return out
+    record, beta, fv = found
     out.append(CheckResult("sharpness-no-deletions", not record.deleted))
     out.append(
         CheckResult(

@@ -7,12 +7,14 @@ elimination, restrictions filter explicit faces by their labels, and the
 quasi-forest references search every leaf order or test the chordal-graph
 characterization directly.
 
-Three kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
+Four kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
 is the package's boundary-rank pass without clearing, on the package's own
 rank kernels, so a test can isolate the clearing; `forced_ranks` runs one of
 the package's two face routes on the unreduced family, so a test can compare
-the routes; and the small helpers at the end (`delete_vertex`, `top_label`,
-...) are conveniences only the tests use.
+the routes; `unmemoized_betti_numbers` ranks every restriction with the
+package's `ranks_from_members` and no memo, so a test can isolate the memo;
+and the small helpers at the end (`delete_vertex`, `top_label`, ...) are
+conveniences only the tests use.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from lsquare.homology import (
     matrix_rank,
     maximal_masks,
     ranks_from_face_masks,
+    ranks_from_members,
 )
 from lsquare.labeled import BettiTable, LabeledComplex
 
@@ -174,6 +177,18 @@ def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
         elif r:
             raise AssertionError("homology above the complex dimension")
     return out
+
+
+def unmemoized_betti_numbers(lab, ideal, field=RATIONALS):
+    """The Betti table `betti_numbers` reads off `lab`, with each restriction
+    ranked on its own (no memo) and no support check."""
+    total, graded = {}, {}
+    for m in ideal.sorted_lattice:
+        for d, r in ranks_from_members(lab._strict_members(m), field).items():
+            if r:
+                graded[(d + 1, m)] = r
+                total[d + 1] = total.get(d + 1, 0) + r
+    return BettiTable(total, graded)
 
 
 def brute_connected(facets):

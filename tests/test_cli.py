@@ -203,6 +203,29 @@ def test_betti_commands(capsys):
     assert "xyz | 0 2 0" in rows  # two first syzygies live at xyz
 
 
+def test_betti_of_a_square_still_checks_that_l2_supports_it(monkeypatch, capsys):
+    # points on the square's generators have the right labels, but the
+    # restriction at x^2y is two points, so the L2(I) check must fail before
+    # any Betti number is read off the Taylor complex
+    from lsquare import l2
+    from lsquare.labeled import LabeledComplex
+
+    real = l2.l2_of_ideal
+
+    def points(ideal):
+        lab, record = real(ideal)
+        delta = complexes.SimplicialComplex.from_facets(
+            [{v} for v in lab.complex.vertices]
+        )
+        return LabeledComplex(delta, lab.labels, lab.table), record
+
+    monkeypatch.setattr(l2, "l2_of_ideal", points)
+    for argv in (["betti", "--power", "2", "x,y"], ["bounds", "x,y"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("FAIL: "), argv
+
+
 def test_betti_round_trips_through_json(capsys):
     from lsquare.labeled import BettiTable
     from lsquare.monomials import parse_ideal

@@ -208,6 +208,27 @@ def test_clearing_goes_through_matrix_rank_for_every_dimension(monkeypatch):
     assert calls == [4, 3, 1]
 
 
+def test_memo_ranks_equal_cores_on_other_vertices_once(monkeypatch):
+    import lsquare.homology as hml
+
+    calls = []
+
+    def spy(faces, field):
+        calls.append(len(faces))
+        return ranks_from_face_masks(faces, field)
+
+    monkeypatch.setattr(hml, "ranks_from_face_masks", spy)
+    memo = {}
+    circle = {-1: 0, 0: 0, 1: 1}
+    assert ranks_from_members(masks_of({0, 1}, {1, 2}, {0, 2}), memo=memo) == circle
+    # a hollow triangle on 3, 5, 7 with a tetrahedron that collapses onto 7:
+    # the core renumbers to the first one, and the padding follows the
+    # tetrahedron
+    whiskered = masks_of({3, 5}, {5, 7}, {3, 7}, {7, 8, 9, 10})
+    assert ranks_from_members(whiskered, memo=memo) == {**circle, 2: 0, 3: 0}
+    assert len(calls) == 1 and len(memo) == 1
+
+
 def test_maximal_masks():
     assert maximal_masks([0b01, 0b11, 0b11, 0, 0b100]) == [0b11, 0b100]
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsquare.complexes import SimplicialComplex, f_vector
 from lsquare.homology import PrimeField, RATIONALS, ResourceLimit
@@ -34,6 +35,7 @@ from oracles import (
     restrict_divides,
     restrict_strict,
     top_label,
+    unmemoized_betti_numbers,
 )
 
 XYZ = VariableTable(("x", "y", "z"))
@@ -317,6 +319,80 @@ def test_oracle_equivalence_between_complexes():
             b = betti_numbers(taylor_complex(square), square, field)
             assert a.total == b.total
             assert a.graded == b.graded
+
+
+FIVE = VariableTable(tuple("abcde"))
+
+
+def exponent_rows(top):
+    """Up to five generators in five variables, exponents at most `top`."""
+    row = st.tuples(*[st.integers(0, top)] * 5).filter(any)
+    return st.lists(row, min_size=1, max_size=5)
+
+
+def ideal_of(rows):
+    return MonomialIdeal.minimal([Monomial(FIVE, r) for r in rows])
+
+
+@given(exponent_rows(1), exponent_rows(2))
+@settings(max_examples=25, deadline=None)
+def test_memoized_betti_numbers_equal_the_unmemoized_loop(squarefree, rows):
+    ideal = ideal_of(squarefree)
+    square = ideal.power(2)
+    other = ideal_of(rows)
+    cases = (
+        (l2_of_ideal(ideal)[0], square),
+        (taylor_complex(square), square),
+        (taylor_complex(other), other),
+    )
+    for field in (RATIONALS, PrimeField(2), PrimeField(3)):
+        for lab, target in cases:
+            got = betti_numbers(lab, target, field)
+            want = unmemoized_betti_numbers(lab, target, field)
+            assert got.total == want.total
+            assert got.graded == want.graded
+
+
+def test_betti_numbers_rank_each_core_once_per_call(monkeypatch):
+    import lsquare.homology as hml
+
+    calls = []
+    real = hml.ranks_from_face_masks
+
+    def spy(faces, field):
+        calls.append(len(faces))
+        return real(faces, field)
+
+    monkeypatch.setattr(hml, "ranks_from_face_masks", spy)
+    ideal, _ = parse_ideal("a,b,c,d,e")
+    taylor = taylor_complex(ideal)
+    # the 26 restrictions at lcms of two to five variables are simplex
+    # boundaries, one core per size
+    first = betti_numbers(taylor, ideal)
+    assert len(calls) == 4
+    # the memo does not outlive the call
+    second = betti_numbers(taylor, ideal)
+    assert len(calls) == 8
+    assert first.as_vector() == second.as_vector() == [5, 10, 10, 5, 1]
+
+
+def test_one_facet_support_check_ranks_nothing_but_checks_labels(monkeypatch):
+    import lsquare.homology as hml
+
+    calls = []
+    real = hml.ranks_from_members
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hml, "ranks_from_members", spy)
+    ideal, _ = parse_ideal("abe,bc,cdf,ad")
+    square = ideal.power(2)
+    assert supports_resolution_homological(taylor_complex(square), square).supported
+    assert calls == []
+    with pytest.raises(ValueError):
+        supports_resolution_homological(taylor_complex(ideal), square)
 
 
 def test_criteria_agree_on_random_quasi_forests():

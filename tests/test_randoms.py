@@ -63,6 +63,26 @@ def test_sharpness_fixture_checks():
     assert any(c.name == "sharpness-minimal" for c in results)
 
 
+def test_sharpness_fixture_builds_one_square_and_one_l2(monkeypatch):
+    from lsquare.monomials import MonomialIdeal
+
+    counts = {"power": 0, "l2_of_ideal": 0}
+    power, build = MonomialIdeal.power, l2.l2_of_ideal
+
+    def counted_power(self, r):
+        counts["power"] += 1
+        return power(self, r)
+
+    def counted_build(ideal):
+        counts["l2_of_ideal"] += 1
+        return build(ideal)
+
+    monkeypatch.setattr(MonomialIdeal, "power", counted_power)
+    monkeypatch.setattr(l2, "l2_of_ideal", counted_build)
+    assert all(c.passed for c in sharpness_fixture_checks())
+    assert counts == {"power": 1, "l2_of_ideal": 1}
+
+
 def test_run_sweep_deterministic_and_empty():
     config = SweepConfig(seed=3, count=5, max_n=6, max_q=4)
     r1 = run_sweep(config)
