@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: power, build-l2, check-support, betti, bounds, verify.
-Exit codes: 0 success/PASS, 1 usage or input error, 2 a checked criterion is
-false (with a printed witness), 3 a resource cap was exceeded (the message
-names the cap flag).
+Exit codes: 0 success/PASS, 1 usage or input error (or, with nothing on
+stderr, a reader that closed the output pipe early), 2 a checked criterion
+is false (with a printed witness), 3 a resource cap was exceeded (the
+message names the cap flag).
 """
 
 from __future__ import annotations
@@ -385,6 +386,11 @@ def main(argv=None) -> int:
         flag = f"--{exc.cap} (env {_CAPS[exc.cap][0]})" if exc.cap in _CAPS else exc.cap
         print(f"resource limit: {exc}; raise {flag}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader left early (`| head`): exit 1 quietly, and point stdout
+        # at devnull so the interpreter's final flush stays quiet too
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

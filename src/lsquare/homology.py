@@ -21,6 +21,11 @@ list is always such a family).  Three steps are used, cheapest first:
   nonempty intersections of simplexes on vertex subsets are simplexes, hence
   contractible, so the nerve has the same reduced homology.
 
+Connectivity lists no faces either: each nonzero member is a simplex, so the
+union is connected iff the members' intersection graph is, and
+`connected_from_members` grows one component by OR-ing in every member mask
+that meets it (the proof is in its docstring).
+
 A core is ranked with its vertices renumbered 0..k-1 in increasing order.  The
 renumbering maps faces to faces and keeps the order of every face's vertices,
 so the boundary matrices of two cores that renumber alike are equal entry for
@@ -42,7 +47,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import and_, or_
 
 
 class ResourceLimit(RuntimeError):
@@ -382,8 +389,11 @@ def maximal_masks(members) -> list[int]:
     first.
     """
     keep: list[int] = []
-    for m in sorted({m for m in members if m}, key=int.bit_count, reverse=True):
-        if all(m & k != m for k in keep):
+    for m in sorted(set(filter(None, members)), key=int.bit_count, reverse=True):
+        for k in keep:
+            if m & k == m:
+                break
+        else:
             keep.append(m)
     keep.sort()
     return keep
@@ -459,22 +469,20 @@ def strong_core(members: list[int]) -> list[int]:
     """
     live = list(members)
     while True:
-        common = live[0]
-        for m in live[1:]:
-            common &= m
+        common = reduce(and_, live)
         if common:
             return [common & -common]
-        star: dict[int, int] = {}
-        for m in live:
-            rest = m
-            while rest:
-                low = rest & -rest
-                star[low] = star.get(low, m) & m
-                rest ^= low
         dead = 0
-        for low in sorted(star):
-            if star[low] & ~dead != low:
+        rest = reduce(or_, live)
+        while rest:
+            low = rest & -rest
+            star = -1
+            for m in live:
+                if m & low:
+                    star &= m
+            if star & ~dead != low:
                 dead |= low
+            rest ^= low
         if not dead:
             return live
         live = maximal_masks([m & ~dead for m in live])
@@ -520,8 +528,8 @@ def ranks_from_members(
     live = maximal_masks(members)
     if not live:
         return {-1: 1}
-    dim = max(m.bit_count() for m in live) - 1
-    out = {d: 0 for d in range(-1, dim + 1)}
+    dim = max(map(int.bit_count, live)) - 1
+    out = dict.fromkeys(range(-1, dim + 1), 0)
 
     live = strong_core(live)
     if len(live) == 1:
@@ -552,24 +560,27 @@ def ranks_from_members(
 
 
 def connected_from_members(members) -> bool | None:
-    """Connectivity of the union of simplexes; None when there are no vertices."""
+    """Connectivity of the union of simplexes; None when there are no vertices.
+
+    One component is grown by OR-ing in every member that meets it, until no
+    member is left (connected) or a pass adds none (disconnected).  Proof:
+    each nonzero member is a simplex, hence connected, and every face lies in
+    a member, so the union is connected iff the members' intersection graph
+    is.  A member meets the grown vertex set iff it meets a member already in
+    the component, so the passes walk that graph from one member.
+    """
     live = [m for m in members if m]
     if not live:
         return None
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in live:
-        bits = _bits(m)
-        for b in bits:
-            parent.setdefault(b, b)
-        root = find(bits[0])
-        for b in bits[1:]:
-            parent[find(b)] = root
-    roots = {find(b) for b in parent}
-    return len(roots) == 1
+    component = live.pop()
+    while live:
+        rest = []
+        for m in live:
+            if m & component:
+                component |= m
+            else:
+                rest.append(m)
+        if len(rest) == len(live):
+            return False
+        live = rest
+    return True

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, le
 from typing import Sequence
 
 
@@ -74,11 +75,11 @@ class Monomial:
             raise ValueError(
                 f"expected {self.table.n} exponents, got {len(exps)}"
             )
-        if any(e < 0 for e in exps):
+        if exps and min(exps) < 0:
             raise ValueError("exponents must be nonnegative")
 
     def _check_same_table(self, other: "Monomial") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise VariableMismatch(
                 f"monomials over different variables: "
                 f"{self.table.names} vs {other.table.names}"
@@ -92,7 +93,7 @@ class Monomial:
         return sum(self.exponents)
 
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
+        return max(self.exponents, default=0) <= 1
 
     def support(self) -> tuple[int, ...]:
         """Indices of variables with a positive exponent."""
@@ -100,21 +101,15 @@ class Monomial:
 
     def divides(self, other: "Monomial") -> bool:
         self._check_same_table(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(map(le, self.exponents, other.exponents))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_same_table(other)
-        return Monomial(
-            self.table,
-            tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)),
-        )
+        return Monomial(self.table, tuple(map(max, self.exponents, other.exponents)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_same_table(other)
-        return Monomial(
-            self.table,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
-        )
+        return Monomial(self.table, tuple(map(add, self.exponents, other.exponents)))
 
     def __str__(self) -> str:
         return format_monomial(self)
@@ -138,18 +133,10 @@ def minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
         raise ValueError("cannot minimalize an empty generator list")
     kept = []
     for i, g in enumerate(gens):
-        redundant = False
         for j, h in enumerate(gens):
-            if i == j:
-                continue
-            if h == g:
-                if j < i:
-                    redundant = True
-                    break
-            elif h.divides(g):
-                redundant = True
+            if i != j and (j < i if h == g else h.divides(g)):
                 break
-        if not redundant:
+        else:
             kept.append(g)
     return kept
 

@@ -53,6 +53,24 @@ def test_usage_error_exit_code_of_the_module_entry_point():
     assert proc.returncode == 1 and "--bogus" in proc.stderr
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_a_quiet_exit_one():
+    # as `lsquare betti ... | head -1`; the graded table of this q = 10 square
+    # is about 75 kB, more than a pipe holds, so the writer is still writing
+    # when the read end closes and always meets the broken pipe
+    ideal = "degkl,bfghjk,defikl,cdefghk,acdfgh,bcegijk,cdefhijk,acdeijk,abdefhk,bcdfgi"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(
+        [sys.executable, "-m", "lsquare.cli", "betti", "--power", "2", "--graded",
+         "--format", "json", "--max-q", "10", ideal],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 1 and err == b""
+
+
 def test_each_subcommand_takes_only_the_options_it_reads(capsys):
     unread = (
         ["power", "x,y", "--field", "gf:2"],

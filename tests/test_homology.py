@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lsquare.complexes import SimplicialComplex, reduced_homology_ranks
 from lsquare.homology import (
@@ -12,6 +12,7 @@ from lsquare.homology import (
     ResourceLimit,
     _is_prime,
     _nerve_face_masks,
+    connected_from_members,
     enumerate_face_masks,
     matrix_rank,
     maximal_masks,
@@ -25,6 +26,7 @@ from lsquare.homology import (
 )
 
 from oracles import (
+    brute_connected,
     brute_reduced_homology,
     dense_pivot_columns,
     dense_rank,
@@ -231,6 +233,38 @@ def test_memo_ranks_equal_cores_on_other_vertices_once(monkeypatch):
 
 def test_maximal_masks():
     assert maximal_masks([0b01, 0b11, 0b11, 0, 0b100]) == [0b11, 0b100]
+
+
+@st.composite
+def raw_member_families(draw):
+    """Up to 10 masks on up to 12 vertices, with zero, repeated and nested masks.
+
+    Masks of at most three vertices make disconnected unions common; a mask
+    cut down from one already drawn is nested in it, or a copy of it when the
+    cut keeps every vertex.
+    """
+    full = (1 << draw(st.integers(1, 12))) - 1
+    sparse = st.sets(st.integers(0, full.bit_length() - 1), max_size=3).map(
+        lambda vs: sum(1 << v for v in vs)
+    )
+    masks = draw(st.lists(st.one_of(st.just(0), sparse, st.integers(0, full)), max_size=10))
+    cuts = st.one_of(st.just(full), st.just(0), st.integers(0, full))
+    for k, cut in draw(st.lists(st.tuples(st.integers(0, 9), cuts), max_size=10 - len(masks))):
+        if masks:
+            masks.append(masks[k % len(masks)] & cut)
+    return draw(st.permutations(masks))
+
+
+@given(raw_member_families())
+@example([0b1100, 0b0011, 0b0101, 0b0001])  # the path 3-2-0-1, links out of order
+@example([0b011, 0b1100, 0, 0b1100])
+@example([0, 0])
+@settings(max_examples=300, deadline=None)
+def test_connected_from_members_agrees_with_bfs_on_raw_families(members):
+    facets = [[b for b in range(12) if m >> b & 1] for m in members if m]
+    got = connected_from_members(members)
+    assert (got is None) == (not any(members))
+    assert got == brute_connected(facets)
 
 
 def test_enumeration_cap():

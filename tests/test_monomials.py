@@ -258,6 +258,51 @@ def test_lcm_is_least_upper_bound(a, b, c):
         assert j.divides(c)
 
 
+@st.composite
+def exponent_pairs(draw):
+    n = draw(st.integers(0, 6))
+    row = st.tuples(*[st.integers(0, 10**6)] * n)
+    return draw(row), draw(row)
+
+
+@given(exponent_pairs())
+def test_divides_lcm_and_product_agree_with_exponent_arithmetic(pair):
+    a, b = pair
+    table = VariableTable(tuple("uvwxyz"[: len(a)]))
+    x, y = table.monomial(a), table.monomial(b)
+    assert x.divides(y) == all(i <= j for i, j in zip(a, b))
+    assert x.lcm(y).exponents == tuple(max(i, j) for i, j in zip(a, b))
+    assert (x * y).exponents == tuple(i + j for i, j in zip(a, b))
+
+
+def test_equal_but_distinct_tables_are_accepted():
+    t1, t2 = VariableTable(("x", "y")), VariableTable(("x", "y"))
+    assert t1 is not t2
+    a, b = Monomial(t1, (1, 2)), Monomial(t2, (2, 1))
+    assert a.divides(Monomial(t2, (1, 3)))
+    for got, want in ((a.lcm(b), (2, 2)), (a * b, (3, 3))):
+        assert got == Monomial(t1, want) == Monomial(t2, want)
+        assert hash(got) == hash(Monomial(t1, want)) == hash(Monomial(t2, want))
+
+
+def test_tables_with_other_names_are_rejected_by_every_operation():
+    a = Monomial(VariableTable(("x", "y")), (1, 0))
+    b = Monomial(VariableTable(("x", "z")), (1, 0))
+    for op in (Monomial.divides, Monomial.lcm, Monomial.__mul__):
+        with pytest.raises(VariableMismatch):
+            op(a, b)
+
+
+def test_exponents_stay_nonnegative_and_unbounded():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Monomial(ABC, (0, -1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ABC.monomial((-(10**6), 10**6, 0))
+    big = ABC.monomial((10**6 - 1, 10**6, 1))
+    assert (big * big).exponents == (2 * 10**6 - 2, 2 * 10**6, 2)
+    assert big.divides(big * big) and not (big * big).divides(big)
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 10_000))
 def test_square_generators_come_from_pair_products(seed):
