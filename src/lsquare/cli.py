@@ -16,7 +16,7 @@ import sys
 
 from . import l2 as l2mod
 from . import randoms
-from .homology import HomologyLimits, ResourceLimit, parse_field
+from .homology import DEFAULT_LIMITS, HomologyLimits, ResourceLimit, parse_field
 from .labeled import (
     BettiTable,
     NotQuasiForest,
@@ -37,7 +37,7 @@ EXIT_RESOURCE = 3
 
 # cap name -> (environment override, default, help)
 _CAPS = {
-    "max-faces": ("LSQUARE_MAX_FACES", 1 << 22, "cap on enumerated faces"),
+    "max-faces": ("LSQUARE_MAX_FACES", DEFAULT_LIMITS.max_faces, "cap on enumerated faces"),
     "max-taylor": ("LSQUARE_MAX_TAYLOR", 22, "cap on Taylor complex vertices"),
     "max-q": ("LSQUARE_MAX_Q", 7, "cap on generator count for exact computations"),
 }
@@ -98,13 +98,18 @@ _L2_SOURCE = "L2 complex of the ideal"
 
 
 def _labeled_complex(args, ideal, target):
-    """The complex named by --complex, else L2(I) for a square, else Taylor's."""
+    """The complex named by --complex, else L2(I) for a square, else Taylor's,
+    which only here is capped by --max-taylor."""
     if args.complex:
         with open(args.complex) as fh:
             return labeled_from_json(json.load(fh), ideal.table), args.complex
     if args.power == 2 and ideal.is_squarefree():
         return l2mod.l2_of_ideal(ideal)[0], _L2_SOURCE
-    return taylor_complex(target, max_vertices=args.max_taylor), "Taylor complex"
+    if target.q > args.max_taylor:
+        raise ResourceLimit(
+            "Taylor complex has too many vertices", "max-taylor", target.q, args.max_taylor
+        )
+    return taylor_complex(target), "Taylor complex"
 
 
 def render_rows(header: list[str], rows: list[tuple[str, list]], fmt: str) -> str:

@@ -95,10 +95,9 @@ def f_vector(
     exactly a >= 1 facets is counted sum_{j=1..a} (-1)^(j+1) C(a, j) = 1 time.
     A subfamily with no common vertex adds C(0, k+1) = 0, so only the faces of
     the nerve of the facets are walked (`homology.nerve_walk`, under the face
-    cap).
+    cap).  The void and the empty complex have no facet subfamily with a
+    common vertex, so both count ().
     """
-    if delta.is_empty:
-        return ()
     counts = [0] * (delta.dim + 1)
     for fmask, common in hml.nerve_walk(list(delta.facet_masks), limits.max_faces):
         sign = 1 if fmask.bit_count() & 1 else -1
@@ -108,19 +107,16 @@ def f_vector(
     return tuple(counts)
 
 
-def induced_subcomplex(
-    delta: SimplicialComplex, keep: Iterable[int], warn_unknown: bool = True
-) -> SimplicialComplex:
-    """Faces contained in `keep`, re-maximalized.  Unknown ids are ignored."""
+def induced_subcomplex(delta: SimplicialComplex, keep: Iterable[int]) -> SimplicialComplex:
+    """Faces contained in `keep`, re-maximalized; the void complex stays void.
+    Unknown ids are ignored with a warning."""
     keep = frozenset(keep)
     unknown = keep - delta.vertices
-    if unknown and warn_unknown:
+    if unknown:
         warnings.warn(
             f"{len(unknown)} vertex id(s) not in the complex were ignored",
             stacklevel=2,
         )
-    if delta.is_void:
-        return delta
     return SimplicialComplex.from_facets(f & keep for f in delta.facets)
 
 
@@ -137,11 +133,8 @@ def reduced_homology_ranks(
     field: Field = RATIONALS,
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> dict[int, int]:
-    """Reduced homology ranks {dim: rank}; see the homology module for conventions."""
-    if delta.is_void:
-        return {}
-    if delta.is_empty:
-        return {-1: 1}
+    """Reduced homology ranks {dim: rank}; see the homology module for conventions
+    ({} for the void complex, {-1: 1} for the empty one)."""
     return hml.ranks_from_members(delta.facet_masks, field, limits)
 
 

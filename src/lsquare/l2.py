@@ -173,7 +173,7 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     survivors = {
         k for k, v in enumerate(pairs) if (v.i, v.j) not in deleted_pairs
     }
-    sub = induced_subcomplex(l2_skeleton(q), survivors, warn_unknown=False)
+    sub = induced_subcomplex(l2_skeleton(q), survivors)
     labels = {k: products[pairs[k].i, pairs[k].j] for k in survivors}
     return LabeledComplex(sub, labels, ideal.table), record
 
@@ -195,8 +195,7 @@ def square_betti_numbers(
     report = supports_resolution_homological(lab, square, field, limits)
     if not report.supported:
         raise UnsupportedComplex(report.witness, report.witness_dim)
-    taylor = taylor_complex(square, max_vertices=square.q)
-    return betti_numbers(taylor, square, field, limits)
+    return betti_numbers(taylor_complex(square), square, field, limits)
 
 
 # ---------------------------------------------------------------------------

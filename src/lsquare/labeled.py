@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 from . import complexes as cx
 from . import homology as hml
 from .complexes import SimplicialComplex
-from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS, ResourceLimit
+from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
 from .monomials import Monomial, MonomialIdeal, VariableTable
 
 
@@ -106,14 +106,9 @@ class LabeledComplex:
         return [fm & b for fm in self.complex.facet_masks for b in below]
 
 
-def taylor_complex(
-    ideal: MonomialIdeal, max_vertices: int = 22
-) -> LabeledComplex:
-    """The full simplex on the minimal generators, vertex i labeled by generator i."""
-    if ideal.q > max_vertices:
-        raise ResourceLimit(
-            "Taylor complex has too many vertices", "max-taylor", ideal.q, max_vertices
-        )
+def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
+    """The full simplex on the minimal generators, vertex i labeled by generator i;
+    uncapped (the CLI's `--max-taylor` caps only its Taylor default complex)."""
     facet = frozenset(range(ideal.q))
     return LabeledComplex(
         SimplicialComplex.from_facets([facet]),
@@ -122,7 +117,8 @@ def taylor_complex(
     )
 
 
-def _check_labels_match(lab: LabeledComplex, ideal: MonomialIdeal) -> None:
+def check_labels_match(lab: LabeledComplex, ideal: MonomialIdeal) -> None:
+    """Raise ValueError unless the labels are the minimal generators, one each."""
     labels = list(lab.labels.values())
     if len(labels) != len(ideal.gens) or set(labels) != set(ideal.gens):
         raise ValueError(
@@ -152,7 +148,7 @@ def supports_resolution_quasitree(
     Only valid on quasi-forests; anything else is rejected so it stays clear
     which criterion produced the verdict.
     """
-    _check_labels_match(lab, ideal)
+    check_labels_match(lab, ideal)
     if cx.quasi_forest_order(lab.complex) is None:
         raise NotQuasiForest(
             "connectivity criterion is inapplicable: the complex is not a quasi-forest"
@@ -178,7 +174,7 @@ def supports_resolution_homological(
     of a simplex is empty or the simplex on the vertices it keeps, which is
     acyclic.
     """
-    _check_labels_match(lab, ideal)
+    check_labels_match(lab, ideal)
     facet_masks = lab.complex.facet_masks
     name = f"homological over {field}"
     if len(facet_masks) == 1:

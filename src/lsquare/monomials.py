@@ -78,6 +78,10 @@ class Monomial:
         if exps and min(exps) < 0:
             raise ValueError("exponents must be nonnegative")
 
+    # agrees with __eq__ (equal monomials have equal exponents), table unhashed
+    def __hash__(self) -> int:
+        return hash(self.exponents)
+
     def _check_same_table(self, other: "Monomial") -> None:
         if self.table is not other.table and self.table != other.table:
             raise VariableMismatch(

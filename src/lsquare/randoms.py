@@ -20,6 +20,7 @@ from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
 from .labeled import (
     NotQuasiForest,
     betti_numbers,
+    check_labels_match,
     supports_resolution_homological,
     supports_resolution_quasitree,
     taylor_complex,
@@ -123,13 +124,13 @@ class SweepReport:
         return [inst for inst in self.instances if not inst.passed]
 
 
-def generator_triple_property(ideal: MonomialIdeal, powers=(2, 3)) -> CheckResult:
-    """Brute force: a pure power of one generator and a product of r generators
-    only divide each other when all indices agree."""
+def generator_triple_property(ideal: MonomialIdeal) -> CheckResult:
+    """Brute force, for r = 2 and 3: a pure power of one generator and a
+    product of r generators only divide each other when all indices agree."""
     import itertools
 
     gens = ideal.gens
-    for r in powers:
+    for r in (2, 3):
         products = {}
         for combo in itertools.combinations_with_replacement(range(len(gens)), r):
             prod = gens[combo[0]]
@@ -211,8 +212,9 @@ def _checks_and_invariants(
     except AssertionError as exc:  # a diagonal pair was deleted
         out.append(CheckResult("diagonal-survives", False, str(exc)))
         return out, None
-    labels = list(lab.labels.values())
-    if len(labels) != square.q or set(labels) != set(square.gens):
+    try:
+        check_labels_match(lab, square)
+    except ValueError:
         out.append(
             CheckResult(
                 "labels-match-square",
@@ -223,12 +225,8 @@ def _checks_and_invariants(
         return out, None
     out.append(CheckResult("labels-match-square", True))
 
-    out.append(
-        CheckResult(
-            "diagonal-survives",
-            all(not v.is_diagonal for v in record.deleted),
-        )
-    )
+    # l2_of_ideal raises when a diagonal pair is deleted
+    out.append(CheckResult("diagonal-survives", True))
     # the connectivity criterion runs the quasi-forest test itself
     try:
         rep_c = supports_resolution_quasitree(lab, square)
@@ -254,9 +252,7 @@ def _checks_and_invariants(
     # bounds chain: exact betti <= deletion bound == f-vector counted over the
     # facet nerve <= skeleton bound, through every dimension with a nonzero
     # entry anywhere
-    # the sweep has no Taylor flag, so only the face cap bounds this complex
-    taylor = taylor_complex(square, max_vertices=square.q)
-    beta = betti_numbers(taylor, square, field, limits=limits)
+    beta = betti_numbers(taylor_complex(square), square, field, limits=limits)
     top = max(q * (q - 1) // 2 - 1, q - 1, beta.max_d) + 1
     fv = cx.f_vector(lab.complex, limits)
     chain_ok = True

@@ -367,7 +367,7 @@ def faces_by_dim(delta):
 def delete_vertex(delta, v):
     if v not in delta.vertices:
         raise ValueError(f"vertex {v} is not in the complex")
-    return induced_subcomplex(delta, delta.vertices - {v}, warn_unknown=False)
+    return induced_subcomplex(delta, delta.vertices - {v})
 
 
 def empty_or_connected(delta):

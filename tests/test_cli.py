@@ -298,6 +298,24 @@ def test_resource_cap_message_says_how_far_over(capsys):
     assert "(estimate 2, cap 0); raise --max-q" in err
 
 
+def test_max_taylor_guards_only_the_taylor_default(capsys):
+    # the square of x,y,z,w has 10 generators; with --power 2 the Betti
+    # numbers come off its Taylor complex after the L2(I) check, uncapped
+    code, out, _ = run(
+        capsys, "betti", "--power", "2", "--format", "csv", "--max-taylor", "3", "x,y,z,w"
+    )
+    assert code == 0 and "beta,10,20,15,4" in out.splitlines()
+    # at power 1 the Taylor complex is the default complex, on 4 vertices
+    for argv in (
+        ["betti", "--max-taylor", "3", "x,y,z,w"],
+        ["check-support", "--ideal", "x,y,z,w", "--max-taylor", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "(estimate 4, cap 3: 1.3x the cap)" in err, argv
+        assert err.rstrip().endswith("raise --max-taylor (env LSQUARE_MAX_TAYLOR)"), argv
+
+
 def test_huge_field_characteristic_is_a_usage_error(capsys):
     code, _, err = run(capsys, "betti", "x,y", "--field", f"gf:{2**89 - 1}")
     assert code == 1

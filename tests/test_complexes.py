@@ -60,6 +60,9 @@ def test_void_and_empty_distinction():
     assert not empty.is_void and empty.is_empty
     assert reduced_homology_ranks(void) == {}
     assert reduced_homology_ranks(empty) == {-1: 1}
+    assert f_vector(void) == () and f_vector(empty) == ()
+    assert induced_subcomplex(void, ()) == void
+    assert induced_subcomplex(empty, ()) == empty
 
 
 def test_f_vector_triangle():
@@ -129,9 +132,7 @@ def test_delete_equals_induced_complement():
     for _ in range(50):
         delta = random_complex(rng)
         v = rng.choice(sorted(delta.vertices))
-        assert delete_vertex(delta, v) == induced_subcomplex(
-            delta, delta.vertices - {v}, warn_unknown=False
-        )
+        assert delete_vertex(delta, v) == induced_subcomplex(delta, delta.vertices - {v})
 
 
 def test_induced_is_monotone():
@@ -141,8 +142,8 @@ def test_induced_is_monotone():
         verts = sorted(delta.vertices)
         w2 = set(rng.sample(verts, rng.randint(0, len(verts))))
         w1 = set(rng.sample(sorted(w2), rng.randint(0, len(w2)))) if w2 else set()
-        faces1 = brute_faces_set(induced_subcomplex(delta, w1, warn_unknown=False))
-        faces2 = brute_faces_set(induced_subcomplex(delta, w2, warn_unknown=False))
+        faces1 = brute_faces_set(induced_subcomplex(delta, w1))
+        faces2 = brute_faces_set(induced_subcomplex(delta, w2))
         assert faces1 <= faces2
 
 

@@ -150,7 +150,7 @@ def test_labels_are_the_square_generators():
         # the complex is the induced subcomplex of the skeleton on survivors
         sk = l2_skeleton(ideal.q)
         survivors = set(lab.complex.vertices)
-        assert lab.complex == induced_subcomplex(sk, survivors, warn_unknown=False)
+        assert lab.complex == induced_subcomplex(sk, survivors)
 
 
 def test_l2_of_ideal_builds_no_square(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsquare.complexes import SimplicialComplex, f_vector
-from lsquare.homology import PrimeField, RATIONALS, ResourceLimit
+from lsquare.homology import PrimeField, RATIONALS
 from lsquare.l2 import l2_of_ideal
 from lsquare.labeled import (
     BettiTable,
@@ -94,12 +94,12 @@ def test_taylor_complex_shapes():
     assert len(t9.complex.vertices) == 9 and len(t9.complex.facets) == 1
 
 
-def test_taylor_complex_vertex_cap():
+def test_taylor_complex_has_no_vertex_cap():
+    # the vertex cap is the CLI's --max-taylor; the library builds any size
     table = VariableTable(tuple(f"x{k}" for k in range(23)))
     ideal = MonomialIdeal(table, tuple(table.variable(k) for k in range(23)))
-    with pytest.raises(ResourceLimit) as err:
-        taylor_complex(ideal)
-    assert err.value.cap == "max-taylor"
+    t = taylor_complex(ideal)
+    assert len(t.complex.vertices) == 23 and len(t.complex.facets) == 1
 
 
 def test_restrict_divides_examples():
