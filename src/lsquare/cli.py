@@ -35,11 +35,11 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 EXIT_RESOURCE = 3
 
-# cap name -> (environment override, default, help)
+# cap name -> (default, help)
 _CAPS = {
-    "max-faces": ("LSQUARE_MAX_FACES", DEFAULT_LIMITS.max_faces, "cap on enumerated faces"),
-    "max-taylor": ("LSQUARE_MAX_TAYLOR", 22, "cap on Taylor complex vertices"),
-    "max-q": ("LSQUARE_MAX_Q", 7, "cap on generator count for exact computations"),
+    "max-faces": (DEFAULT_LIMITS.max_faces, "cap on enumerated faces"),
+    "max-taylor": (22, "cap on Taylor complex vertices"),
+    "max-q": (7, "cap on generator count for exact computations"),
 }
 
 
@@ -65,12 +65,8 @@ def _add_options(parser, formats=(), field=False, caps=()) -> None:
     if field:
         parser.add_argument("--field", default="rational", help="rational or gf:p")
     for cap in caps:
-        env, default, text = _CAPS[cap]
-        # argparse runs `type` on a string default, so a bad override is a
-        # usage error too
-        parser.add_argument(
-            f"--{cap}", type=int, default=os.environ.get(env) or default, help=text
-        )
+        default, text = _CAPS[cap]
+        parser.add_argument(f"--{cap}", type=int, default=default, help=text)
 
 
 def _limits(args) -> HomologyLimits:
@@ -388,8 +384,7 @@ def main(argv=None) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ResourceLimit as exc:
-        flag = f"--{exc.cap} (env {_CAPS[exc.cap][0]})" if exc.cap in _CAPS else exc.cap
-        print(f"resource limit: {exc}; raise {flag}", file=sys.stderr)
+        print(f"resource limit: {exc}; raise --{exc.cap}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:
         # the reader left early (`| head`): exit 1 quietly, and point stdout

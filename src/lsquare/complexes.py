@@ -50,11 +50,6 @@ class SimplicialComplex:
         return not self.facets
 
     @property
-    def is_empty(self) -> bool:
-        """No vertices (covers both the void complex and the empty complex)."""
-        return not self.vertices
-
-    @property
     def dim(self) -> int:
         return max((len(f) - 1 for f in self.facets), default=-1)
 
@@ -225,17 +220,21 @@ def complex_to_json(
     return obj
 
 
+def _entry(obj: Mapping, key: str, read, default=None):
+    """read(obj[key]), or `default` when the key is absent or null; an entry
+    of the wrong shape is a ValueError naming its key."""
+    try:
+        return default if obj.get(key) is None else read(obj[key])
+    except (TypeError, ValueError, AttributeError, OverflowError):
+        raise ValueError(f"complex JSON has a malformed {key!r} entry") from None
+
+
 def complex_from_json(obj: Mapping) -> tuple[SimplicialComplex, dict[int, str] | None]:
-    facets = [frozenset(map(int, f)) for f in obj["facets"]]
-    delta = SimplicialComplex.from_facets(facets)
-    declared = frozenset(map(int, obj.get("vertices", ())))
-    missing = declared - delta.vertices
-    if missing:
-        # isolated vertices are singleton facets
-        delta = SimplicialComplex.from_facets(
-            list(delta.facets) + [frozenset([v]) for v in missing]
-        )
-    labels = None
-    if "labels" in obj and obj["labels"] is not None:
-        labels = {int(k): str(v) for k, v in obj["labels"].items()}
-    return delta, labels
+    """The complex and its labels, if given; a declared vertex in no facet
+    is isolated, a singleton facet."""
+    if not isinstance(obj, Mapping) or obj.get("facets") is None:
+        raise ValueError("complex JSON must be an object with a 'facets' entry")
+    facets = _entry(obj, "facets", lambda fs: [frozenset(map(int, f)) for f in fs])
+    points = _entry(obj, "vertices", lambda vs: [frozenset([int(v)]) for v in vs], [])
+    labels = _entry(obj, "labels", lambda raw: {int(k): str(v) for k, v in raw.items()})
+    return SimplicialComplex.from_facets(facets + points), labels

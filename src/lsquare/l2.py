@@ -265,11 +265,16 @@ def bound_table(
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> BoundTable:
     """Taylor bounds, skeleton bound, deletion-refined bound and (optionally)
-    the exact Betti numbers of the square, tabulated for d = 0..max_d."""
-    lab, record = l2_of_ideal(ideal)
+    the exact Betti numbers of the square, tabulated for d = 0..max_d.
+
+    max_d runs from 0 to C(q+1, 2), the vertex count of the largest Taylor
+    simplex; every row is zero past it.  It defaults to max(C(q, 2), q)."""
     q = ideal.q
     if max_d is None:
-        max_d = max(q * (q - 1) // 2 - 1, q - 1) + 1
+        max_d = max(comb(q, 2), q)
+    elif not 0 <= max_d <= comb(q + 1, 2):
+        raise ValueError(f"max_d must be in 0..{comb(q + 1, 2)} for q = {q}, got {max_d}")
+    lab, record = l2_of_ideal(ideal)
     ds = range(max_d + 1)
     rows: list[tuple[str, list[int]]] = [
         ("taylor-largest", [taylor_face_bound(q * (q + 1) // 2, d) for d in ds]),

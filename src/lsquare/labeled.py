@@ -285,5 +285,8 @@ def labeled_from_json(obj: Mapping, table: VariableTable) -> LabeledComplex:
     delta, raw = cx.complex_from_json(obj)
     if raw is None:
         raise ValueError("labeled complex JSON requires a 'labels' entry")
-    labels = {v: parse_monomial(s, table) for v, s in raw.items()}
+    try:
+        labels = {v: parse_monomial(s, table) for v, s in raw.items()}
+    except ValueError as exc:
+        raise ValueError(f"complex JSON has a malformed 'labels' entry: {exc}") from None
     return LabeledComplex(delta, labels, table)

@@ -45,12 +45,6 @@ class VariableTable:
     def n(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
-
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.n)
 
@@ -98,10 +92,6 @@ class Monomial:
 
     def is_squarefree(self) -> bool:
         return max(self.exponents, default=0) <= 1
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of variables with a positive exponent."""
-        return tuple(k for k, e in enumerate(self.exponents) if e)
 
     def divides(self, other: "Monomial") -> bool:
         self._check_same_table(other)

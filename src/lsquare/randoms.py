@@ -48,12 +48,11 @@ def _table(n: int) -> VariableTable:
     return VariableTable(tuple(string.ascii_lowercase[:n]))
 
 
-def random_squarefree_ideal(
-    rng: random.Random, n: int, q: int, max_tries: int = 5000
-) -> MonomialIdeal | None:
-    """q uniform nonempty variable subsets, redrawn until they form a minimal set."""
+def random_squarefree_ideal(rng: random.Random, n: int, q: int) -> MonomialIdeal | None:
+    """q uniform nonempty variable subsets, redrawn until they form a minimal
+    set; None after 5000 draws."""
     table = _table(n)
-    for _ in range(max_tries):
+    for _ in range(5000):
         gens = []
         for _ in range(q):
             exps = [rng.randint(0, 1) for _ in range(n)]
@@ -118,10 +117,6 @@ class SweepReport:
     @property
     def all_passed(self) -> bool:
         return all(inst.passed for inst in self.instances)
-
-    @property
-    def failures(self) -> list[InstanceResult]:
-        return [inst for inst in self.instances if not inst.passed]
 
 
 def generator_triple_property(ideal: MonomialIdeal) -> CheckResult:

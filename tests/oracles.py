@@ -371,7 +371,7 @@ def delete_vertex(delta, v):
 
 
 def empty_or_connected(delta):
-    return delta.is_empty or brute_connected(delta.facets)
+    return not delta.vertices or brute_connected(delta.facets)
 
 
 def top_label(lab):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,61 @@ def test_bounds_command(capsys):
     assert "betti,10,20,15,4,0,0,0" in lines
 
 
+def test_bounds_of_the_sharp_example_equal_the_face_counts_of_l2(capsys):
+    # L2(I) of this ideal loses no vertex and resolves I^2 minimally, so the
+    # exact row equals the deletion-refined face counts
+    code, out, _ = run(capsys, "bounds", "xabc,yade,zbdf,wcef")
+    assert code == 0
+    assert out.splitlines()[0] == "q = 4, s = 10, t = [0, 0, 0, 0]"
+    rows = {}
+    for line in out.splitlines()[1:]:
+        label, _, values = line.partition("|")
+        rows[label.strip()] = values.split()
+    assert rows["betti"] == rows["complex"] == ["10", "27", "32", "19", "6", "1", "0"]
+
+
+def test_bounds_max_d_runs_from_zero_to_the_largest_taylor_simplex(capsys):
+    # x,y,z,w has q = 4, so the largest Taylor simplex has C(5, 2) = 10 vertices
+    code, out, _ = run(capsys, "bounds", "x,y,z,w", "--max-d", "9", "--format", "csv")
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("taylor-largest,")][0].endswith(
+        ",10,1"
+    )
+    code, out, _ = run(capsys, "bounds", "x,y,z,w", "--max-d", "0", "--format", "csv")
+    assert code == 0 and "betti,10" in out.splitlines()
+    # past that every row is zero; 10^8 columns once ran for minutes
+    for ideal, max_d in (("x,y", "100000000"), ("x,y", "-3"), ("x,y,z,w", "11")):
+        start = time.monotonic()
+        code, out, err = run(capsys, "bounds", ideal, "--max-d", max_d)
+        assert time.monotonic() - start < 1, max_d
+        assert code == 1 and out == "", max_d
+        assert err.startswith("error: ") and "max_d" in err, max_d
+
+
+@pytest.mark.parametrize("command", ["betti", "check-support"])
+def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
+    labels = {"0": "x", "1": "y"}
+    shapes = [
+        ([], "'facets'"),
+        (None, "'facets'"),
+        ({}, "'facets'"),
+        ({"facets": 5}, "'facets'"),
+        ({"facets": [5]}, "'facets'"),
+        ({"facets": [["a"]]}, "'facets'"),
+        ({"facets": [[0, 1]], "labels": ["x", "y"]}, "'labels'"),
+        ({"facets": [[0, 1]], "vertices": 3, "labels": labels}, "'vertices'"),
+        ({"facets": [[0, 1]], "labels": {"0": 5, "1": "y"}}, "'labels'"),
+        ({"facets": [[0, 1]], "labels": {"0": "z", "1": "y"}}, "'labels'"),
+    ]
+    path = tmp_path / "complex.json"
+    for obj, key in shapes:
+        path.write_text(json.dumps(obj))
+        ideal = ["x,y"] if command == "betti" else ["--ideal", "x,y"]
+        code, out, err = run(capsys, command, "--complex", str(path), *ideal)
+        assert code == 1 and out == "", obj
+        assert err.startswith("error: ") and key in err, obj
+
+
 def test_resource_cap_exit_three(capsys):
     code, _, err = run(capsys, "bounds", "a,b,c,d,e,f,g,h")
     assert code == 3
@@ -284,7 +340,7 @@ def test_resource_cap_message_says_how_far_over(capsys):
     code, _, err = run(capsys, "bounds", "a,b,c,d,e,f,g,h")
     assert code == 3
     assert "(estimate 8, cap 7: 1.1x the cap)" in err
-    assert err.rstrip().endswith("raise --max-q (env LSQUARE_MAX_Q)")
+    assert err.rstrip().endswith("raise --max-q")
 
     code, _, err = run(
         capsys, "betti", "--power", "2", "x^2,y^2,z^2,w^2,v^2", "--max-taylor", "12"
@@ -313,24 +369,13 @@ def test_max_taylor_guards_only_the_taylor_default(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
         assert "(estimate 4, cap 3: 1.3x the cap)" in err, argv
-        assert err.rstrip().endswith("raise --max-taylor (env LSQUARE_MAX_TAYLOR)"), argv
+        assert err.rstrip().endswith("raise --max-taylor"), argv
 
 
 def test_huge_field_characteristic_is_a_usage_error(capsys):
     code, _, err = run(capsys, "betti", "x,y", "--field", f"gf:{2**89 - 1}")
     assert code == 1
     assert "3.3e24" in err and "Traceback" not in err
-
-
-def test_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("LSQUARE_MAX_Q", "3")
-    code, _, err = run(capsys, "power", "x,y,z,w")
-    assert code == 0  # power has no q cap
-    code, _, err = run(capsys, "bounds", "x,y,z,w")
-    assert code == 3 and "--max-q" in err
-    monkeypatch.setenv("LSQUARE_MAX_Q", "three")
-    code, _, err = parse_exit(capsys, "bounds", "x,y,z,w")
-    assert code == 1 and "invalid int value: 'three'" in err
 
 
 def test_verify_command_deterministic(capsys):
@@ -395,4 +440,4 @@ def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
     )
     assert code == 3 and out == ""
     assert "nerve enumeration exceeded the face cap" in err
-    assert err.rstrip().endswith("raise --max-faces (env LSQUARE_MAX_FACES)")
+    assert err.rstrip().endswith("raise --max-faces")

@@ -56,8 +56,8 @@ def test_facets_are_maximalized_and_canonical():
 def test_void_and_empty_distinction():
     void = SimplicialComplex.from_facets([])
     empty = SimplicialComplex.from_facets([frozenset()])
-    assert void.is_void and void.is_empty
-    assert not empty.is_void and empty.is_empty
+    assert void.is_void and not void.vertices
+    assert not empty.is_void and not empty.vertices
     assert reduced_homology_ranks(void) == {}
     assert reduced_homology_ranks(empty) == {-1: 1}
     assert f_vector(void) == () and f_vector(empty) == ()
@@ -120,7 +120,7 @@ def test_induced_on_skeleton_diagonal_pair_is_disconnected():
 
 def test_delete_vertex():
     point = SimplicialComplex.from_facets([{7}])
-    assert delete_vertex(point, 7).is_empty
+    assert not delete_vertex(point, 7).vertices
     path = SimplicialComplex.from_facets([{1, 2}, {2, 3}])
     assert delete_vertex(path, 2).facets == (frozenset({1}), frozenset({3}))
     with pytest.raises(ValueError):

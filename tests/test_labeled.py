@@ -129,7 +129,7 @@ def test_restrict_strict_examples():
         SimplicialComplex.from_facets([{0}]), {0: mono("xy")}, XYZ
     )
     strict = restrict_strict(point, mono("xy"))
-    assert strict.complex.is_empty and not strict.complex.is_void
+    assert not strict.complex.vertices and not strict.complex.is_void
 
     # hollow triangle: every face label strictly divides xyz
     tri = hollow_triangle_xyz()
@@ -211,7 +211,7 @@ def test_support_quasitree_examples():
     from lsquare.complexes import is_connected
 
     bad = restrict_divides(path, report.witness)
-    assert not bad.complex.is_empty and not is_connected(bad.complex)
+    assert bad.complex.vertices and not is_connected(bad.complex)
 
 
 def test_support_quasitree_rejects_non_quasi_forests():

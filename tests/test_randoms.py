@@ -32,7 +32,7 @@ def test_sampling_is_deterministic():
 
 def test_infeasible_request_returns_none():
     # five pairwise incomparable subsets do not fit in two variables
-    assert random_squarefree_ideal(random.Random(1), 2, 5, max_tries=50) is None
+    assert random_squarefree_ideal(random.Random(1), 2, 5) is None
 
 
 def test_ideal_checks_pass_on_small_sample():
