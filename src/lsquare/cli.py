@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from . import l2 as l2mod
 from . import randoms
@@ -40,6 +41,9 @@ _CAPS = {
     "max-faces": (DEFAULT_LIMITS.max_faces, "cap on enumerated faces"),
     "max-taylor": (22, "cap on Taylor complex vertices"),
     "max-q": (7, "cap on generator count for exact computations"),
+    "max-products": (
+        8000, "cap on the generator factors r * C(q + r - 1, r) of a power's products"
+    ),
 }
 
 
@@ -88,6 +92,26 @@ def _parse_ideal_arg(args):
 def _check_q_cap(q: int, args) -> None:
     if q > args.max_q:
         raise ResourceLimit("ideal has too many generators", "max-q", q, args.max_q)
+
+
+def _power(ideal, args):
+    """The power r = --power of the ideal.  r is checked, and so are the
+    r * C(q + r - 1, r) generator factors of its products against
+    --max-products, before any product is built; I^1 is the ideal itself.
+    Building costs one multiplication per factor, so the check bounds that
+    work also where C(q + r - 1, r) is small, as for a huge r with q = 1."""
+    r = args.power
+    if r < 1:
+        raise ValueError("power exponent must be >= 1")
+    if r == 1:
+        return ideal
+    factors = r * comb(ideal.q + r - 1, r)
+    if factors > args.max_products:
+        raise ResourceLimit(
+            "power has too many generator factors in its products", "max-products",
+            factors, args.max_products,
+        )
+    return ideal.power(r)
 
 
 _L2_SOURCE = "L2 complex of the ideal"
@@ -150,7 +174,7 @@ def _betti_rows(table: BettiTable, max_d: int, graded: bool) -> list[tuple[str, 
 
 def cmd_power(args) -> int:
     ideal = _parse_ideal_arg(args)
-    power = ideal.power(args.power)
+    power = _power(ideal, args)
     if args.format == "json":
         print(
             json.dumps(
@@ -204,7 +228,7 @@ def cmd_check_support(args) -> int:
     _check_q_cap(ideal.q, args)
     field = parse_field(args.field)
     limits = _limits(args)
-    target = ideal.power(args.power) if args.power > 1 else ideal
+    target = _power(ideal, args)
     lab, source = _labeled_complex(args, ideal, target)
     print(f"complex: {source} ({len(lab.complex.vertices)} vertices)")
 
@@ -226,7 +250,7 @@ def cmd_betti(args) -> int:
     _check_q_cap(ideal.q, args)
     field = parse_field(args.field)
     limits = _limits(args)
-    target = ideal.power(args.power) if args.power > 1 else ideal
+    target = _power(ideal, args)
     lab, source = _labeled_complex(args, ideal, target)
     if source == _L2_SOURCE:
         table = l2mod.square_betti_numbers(lab, target, field, limits)
@@ -327,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="minimal generators of a power of the ideal")
     _add_ideal(p)
     p.add_argument("-r", "--power", type=int, default=2)
-    _add_options(p, formats=("table", "json"))
+    _add_options(p, formats=("table", "json"), caps=("max-products",))
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("build-l2", help="the labeled complex specialized to the ideal")
@@ -339,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ideal(p, "--ideal", required=True)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--complex", default=None, help="labeled complex JSON file")
-    _add_options(p, field=True, caps=("max-faces", "max-taylor", "max-q"))
+    _add_options(
+        p, field=True, caps=("max-faces", "max-taylor", "max-q", "max-products")
+    )
     p.set_defaults(func=cmd_check_support)
 
     p = sub.add_parser("betti", help="exact Betti numbers from a supporting complex")
@@ -348,7 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graded", action="store_true", help="include multidegree rows")
     p.add_argument("--complex", default=None, help="labeled complex JSON file")
     _add_options(
-        p, formats=every_format, field=True, caps=("max-faces", "max-taylor", "max-q")
+        p,
+        formats=every_format,
+        field=True,
+        caps=("max-faces", "max-taylor", "max-q", "max-products"),
     )
     p.set_defaults(func=cmd_betti)
 

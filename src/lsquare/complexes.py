@@ -220,6 +220,13 @@ def complex_to_json(
     return obj
 
 
+def _vertex_id(v) -> int:
+    """An integer or integer string as a vertex id; 0.7 is not read as 0."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"vertex id {v} is not an integer")
+    return int(v)
+
+
 def _entry(obj: Mapping, key: str, read, default=None):
     """read(obj[key]), or `default` when the key is absent or null; an entry
     of the wrong shape is a ValueError naming its key."""
@@ -234,7 +241,9 @@ def complex_from_json(obj: Mapping) -> tuple[SimplicialComplex, dict[int, str] |
     is isolated, a singleton facet."""
     if not isinstance(obj, Mapping) or obj.get("facets") is None:
         raise ValueError("complex JSON must be an object with a 'facets' entry")
-    facets = _entry(obj, "facets", lambda fs: [frozenset(map(int, f)) for f in fs])
-    points = _entry(obj, "vertices", lambda vs: [frozenset([int(v)]) for v in vs], [])
+    facets = _entry(obj, "facets", lambda fs: [frozenset(map(_vertex_id, f)) for f in fs])
+    points = _entry(
+        obj, "vertices", lambda vs: [frozenset([_vertex_id(v)]) for v in vs], []
+    )
     labels = _entry(obj, "labels", lambda raw: {int(k): str(v) for k, v in raw.items()})
     return SimplicialComplex.from_facets(facets + points), labels

@@ -78,14 +78,15 @@ class LabeledComplex:
             columns.append(tuple(column))
         return tuple(columns)
 
-    def _divisor_mask(self, m: Monomial) -> int:
-        """Vertices whose label divides m, for m dividing the top label."""
+    def _divisor_mask(self, exps: tuple[int, ...]) -> int:
+        """Vertices whose label divides the monomial with exponents `exps`,
+        for one dividing the top label."""
         mask = (1 << len(self.complex.vertices)) - 1
-        for column, e in zip(self._columns, m.exponents):
+        for column, e in zip(self._columns, exps):
             mask &= column[e]
         return mask
 
-    def _strict_members(self, m: Monomial) -> list[int]:
+    def _strict_members(self, exps: tuple[int, ...]) -> list[int]:
         """Vertex masks of simplexes whose union is the strictly-below subcomplex.
 
         Write X_{<=m} (X_{<m}) for the faces whose label divides (strictly
@@ -99,10 +100,11 @@ class LabeledComplex:
         in variable p.  A face label divides m' exactly when every vertex label
         of the face does, so X_{<=m'} is the subcomplex induced on the vertex
         set V(m') = AND_p column_p[m'_p], spanned by the facets cut down to
-        V(m').  For m' = m/x_p that set is V(m) & column_p[m_p - 1].
+        V(m').  For m' = m/x_p that set is V(m) & column_p[m_p - 1].  Here m
+        is given by its exponents `exps`.
         """
-        vm = self._divisor_mask(m)
-        below = [vm & column[e - 1] for column, e in zip(self._columns, m.exponents) if e]
+        vm = self._divisor_mask(exps)
+        below = [vm & column[e - 1] for column, e in zip(self._columns, exps) if e]
         return [fm & b for fm in self.complex.facet_masks for b in below]
 
 
@@ -154,11 +156,12 @@ def supports_resolution_quasitree(
             "connectivity criterion is inapplicable: the complex is not a quasi-forest"
         )
     facet_masks = lab.complex.facet_masks
-    for m in ideal.sorted_lattice:
-        vm = lab._divisor_mask(m)
+    for exps in ideal.sorted_lattice:
+        vm = lab._divisor_mask(exps)
         verdict = hml.connected_from_members([fm & vm for fm in facet_masks])
         if verdict is False:
-            return SupportReport(False, "quasi-forest connectivity", witness=m)
+            witness = Monomial(ideal.table, exps)
+            return SupportReport(False, "quasi-forest connectivity", witness=witness)
     return SupportReport(True, "quasi-forest connectivity")
 
 
@@ -179,15 +182,16 @@ def supports_resolution_homological(
     name = f"homological over {field}"
     if len(facet_masks) == 1:
         return SupportReport(True, name)
-    for m in ideal.sorted_lattice:
-        vm = lab._divisor_mask(m)
+    for exps in ideal.sorted_lattice:
+        vm = lab._divisor_mask(exps)
         members = [fm & vm for fm in facet_masks]
         if not any(members):
             continue
         ranks = hml.ranks_from_members(members, field, limits)
         for d in sorted(ranks):
             if ranks[d]:
-                return SupportReport(False, name, witness=m, witness_dim=d)
+                witness = Monomial(ideal.table, exps)
+                return SupportReport(False, name, witness=witness, witness_dim=d)
     return SupportReport(True, name)
 
 
@@ -251,7 +255,8 @@ def betti_numbers(
 
     Restrictions whose strong-collapse cores are equal after renumbering are
     ranked once: the call keeps one `ranks_from_members` memo, which is
-    dropped when it returns.
+    dropped when it returns.  The walk reads the lattice as exponent tuples
+    and builds a `Monomial` only for a multidegree with a nonzero entry.
     """
     report = supports_resolution_homological(lab, ideal, field, limits)
     if not report.supported:
@@ -259,12 +264,14 @@ def betti_numbers(
     graded: dict[tuple[int, Monomial], int] = {}
     total: dict[int, int] = {}
     memo: dict = {}
-    for m in ideal.sorted_lattice:
+    for exps in ideal.sorted_lattice:
         # all-zero member masks mean only the empty face survives, giving the
         # rank-1 contribution at homological dimension -1 (so beta_{0,m} = 1)
-        ranks = hml.ranks_from_members(lab._strict_members(m), field, limits, memo)
-        for d, r in ranks.items():
-            if r:
+        ranks = hml.ranks_from_members(lab._strict_members(exps), field, limits, memo)
+        nonzero = [(d, r) for d, r in ranks.items() if r]
+        if nonzero:
+            m = Monomial(ideal.table, exps)
+            for d, r in nonzero:
                 graded[(d + 1, m)] = r
                 total[d + 1] = total.get(d + 1, 0) + r
     return BettiTable(total, graded)

@@ -9,7 +9,8 @@ values can be shared freely between threads and used as dict/set keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import add, le
 from typing import Sequence
@@ -116,23 +117,78 @@ class Monomial:
         return self.exponents
 
 
+def thermometer_codes(
+    gens: Sequence[Monomial],
+) -> tuple[list[int], list[list[int]]]:
+    """Pack a nonempty list of monomials over one table into one int each.
+
+    Each variable owns a lane, x_0's the most significant, and its levels: 0
+    and the distinct exponents of that variable in the list, ascending,
+    levels[r] of rank r.  The lane is len(levels) - 1 bits wide, at most
+    len(gens) however large the exponents are, and an exponent of rank r is
+    written in it as r low one-bits, the thermometer code 2^r - 1.  Returns
+    the codes, in list order, and the levels of each lane, x_0 first; a lane
+    holding 2^r - 1 has bit length r, so it decodes to levels[r].
+
+    For the codes c, d of list elements u, v:
+
+    - c | d is the code of lcm(u, v), whose exponents are all the list's.
+      Within a lane (2^r - 1) | (2^s - 1) = 2^max(r, s) - 1, and rank is
+      increasing in the exponent, so each lane holds the larger exponent.
+    - d & ~c == 0 exactly when v divides u.  Within a lane 2^s - 1 has no bit
+      outside 2^r - 1 exactly when s <= r, that is when v's exponent is at most
+      u's; lanes are disjoint bit ranges, so this holds in every lane at once.
+    - c == d exactly when u == v.  Ranks biject with exponents in each lane,
+      and all elements are over one table.
+    - c < d exactly when u.sort_key() < v.sort_key().  The highest bit at which
+      c and d differ lies in the most significant lane where they differ, which
+      is x_k for the first k where u and v differ, since x_0's lane is on top.
+      Within that lane 2^r - 1 < 2^s - 1 exactly when r < s, that is when u's
+      exponent of x_k is the smaller; lower lanes cannot outweigh that bit.
+
+    Combining monomials over different tables raises VariableMismatch.
+    """
+    first = gens[0]
+    for g in gens:
+        if g.table is not first.table:
+            first._check_same_table(g)
+    rows = [g.exponents for g in gens]
+    thermometer = [(1 << r) - 1 for r in range(len(rows) + 1)]
+    codes = [0] * len(rows)
+    levels = []
+    # lanes are appended below the ones before them, so x_0's ends on top
+    for column in zip(*rows):
+        lane = sorted({0, *column})
+        levels.append(lane)
+        code = dict(zip(lane, thermometer))
+        codes = [c << len(lane) - 1 | code[e] for c, e in zip(codes, column)]
+    return codes, levels
+
+
 def minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
     """Drop every monomial strictly divisible by another list element.
 
     Exact duplicates collapse to their first occurrence; the relative order of
     the survivors is preserved, so generator indices stay deterministic.
+    Divisibility is read off `thermometer_codes`.  The bits of a proper
+    divisor are a proper subset, so each distinct code is tested only against
+    the codes with fewer bits; codes of one bit count, as the degree-r
+    products of variables, cost no test at all.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("cannot minimalize an empty generator list")
-    kept = []
-    for i, g in enumerate(gens):
-        for j, h in enumerate(gens):
-            if i != j and (j < i if h == g else h.divides(g)):
-                break
-        else:
-            kept.append(g)
-    return kept
+    codes, _ = thermometer_codes(gens)
+    # filled back to front, so each code keeps its first monomial
+    first = dict(zip(reversed(codes), reversed(gens)))
+    ordered = sorted(first, key=int.bit_count)
+    bits = list(map(int.bit_count, ordered))
+    redundant = {
+        c
+        for c, b in zip(ordered, bits)
+        if 0 in map((~c).__and__, itertools.islice(ordered, bisect_left(bits, b)))
+    }
+    return [first[c] for c in dict.fromkeys(codes) if c not in redundant]
 
 
 @dataclass(frozen=True)
@@ -141,12 +197,15 @@ class MonomialIdeal:
 
     The constructor insists on minimality (no duplicates, no generator dividing
     another); use `MonomialIdeal.minimal` to build from an arbitrary list.
+    `minimalized=True` says that `gens` is `minimalize`'s own output, whose
+    minimality needs no second check; only `minimal` passes it.
     """
 
     table: VariableTable
     gens: tuple[Monomial, ...]
+    minimalized: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, minimalized: bool):
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
         if not gens:
@@ -154,15 +213,17 @@ class MonomialIdeal:
         for g in gens:
             if g.table != self.table:
                 raise VariableMismatch("generator over a different variable table")
-        if len(minimalize(gens)) != len(gens):
+        if not minimalized and len(minimalize(gens)) != len(gens):
             raise ValueError("generating set is not minimal")
 
     @classmethod
     def minimal(cls, gens: Sequence[Monomial]) -> "MonomialIdeal":
+        """The ideal generated by `gens`, presented by `minimalize(gens)`,
+        which is computed once."""
         gens = list(gens)
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
-        return cls(gens[0].table, tuple(minimalize(gens)))
+        return cls(gens[0].table, tuple(minimalize(gens)), minimalized=True)
 
     @property
     def q(self) -> int:
@@ -185,62 +246,43 @@ class MonomialIdeal:
             for k in combo[1:]:
                 m = m * self.gens[k]
             products.append(m)
-        return MonomialIdeal(self.table, tuple(minimalize(products)))
+        return MonomialIdeal.minimal(products)
 
     @cached_property
-    def sorted_lattice(self) -> tuple[Monomial, ...]:
-        """`lcm_lattice(self)` sorted by exponent vector, computed once per ideal."""
-        return tuple(sorted(lcm_lattice(self), key=Monomial.sort_key))
+    def sorted_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """`lcm_lattice(self)`, already in sort order, computed once per ideal."""
+        return lcm_lattice(self)
 
     def __str__(self) -> str:
         return format_ideal(self)
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Monomial]:
-    """The lcms of all nonempty generator subsets.
+def lcm_lattice(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """The lcms of all nonempty generator subsets, as exponent tuples in
+    `Monomial.sort_key` order.
 
-    Closing the generator set under joins with single generators reaches every
-    subset lcm without scanning 2^q subsets.  The closure runs on one int per
-    monomial.  Variable k owns a lane with one bit per distinct nonzero
-    exponent of x_k among the generators, and an exponent of rank r in that
-    list is written as r low one-bits (a thermometer code).  Codes are nested
-    within a lane, so the lcm of two monomials is the bitwise or of their
-    codes.  A lane is at most q bits wide however large the exponents are.
+    The closure runs on `thermometer_codes`, where the lcm is a bitwise or:
+    after generators g_1..g_k the set L holds every lcm of a nonempty subset
+    of them, and L | {a | g for a in L} | {g} extends that to g = g_{k+1}.
+    Sorting the ints sorts the monomials, and the codes decode lane by lane
+    into exponent tuples.  No `Monomial` is built; callers build one for
+    what they print.
     """
-    gens = ideal.gens
-    codes = [0] * len(gens)
-    lanes = []  # (shift, lane mask, exponent of each rank)
-    shift = 0
-    for k in range(ideal.table.n):
-        levels = sorted({0, *(g.exponents[k] for g in gens)})
-        rank = {e: r for r, e in enumerate(levels)}
-        for i, g in enumerate(gens):
-            codes[i] |= ((1 << rank[g.exponents[k]]) - 1) << shift
+    codes, lanes = thermometer_codes(ideal.gens)
+    lattice: set[int] = set()
+    for g in codes:
+        lattice |= {a | g for a in lattice}
+        lattice.add(g)
+    ordered = sorted(lattice)
+    columns = []
+    shift = sum(map(len, lanes)) - len(lanes)
+    for levels in lanes:
         width = len(levels) - 1
-        lanes.append((shift, (1 << width) - 1, levels))
-        shift += width
-
-    seen = set(codes)
-    frontier = codes
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in codes:
-                c = a | g
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
-        frontier = fresh
-
-    # a lane holding 2^r - 1 has bit length r, the rank of its exponent
-    table = ideal.table
-    return frozenset(
-        Monomial(
-            table,
-            tuple(levels[((c >> lo) & mask).bit_length()] for lo, mask, levels in lanes),
-        )
-        for c in seen
-    )
+        shift -= width
+        exponent = {((1 << r) - 1) << shift: e for r, e in enumerate(levels)}
+        lane = ((1 << width) - 1) << shift
+        columns.append(map(exponent.__getitem__, map(lane.__and__, ordered)))
+    return tuple(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +397,12 @@ def parse_ideal(
     text: str, names: Sequence[str] | None = None
 ) -> tuple[MonomialIdeal, list[Monomial]]:
     """Parse and minimalize; returns (ideal, generators dropped as redundant)."""
-    table, gens = parse_generators(text, names)
+    _table, gens = parse_generators(text, names)
     for g, (start, _piece) in zip(gens, _split_with_offsets(text, ",")):
         if g.is_one:
             raise ParseError("the unit ideal is not accepted", start)
-    minimal = minimalize(gens)
+    ideal = MonomialIdeal.minimal(gens)
+    minimal = ideal.gens
     dropped = [g for g in gens if g not in minimal]
     # also dropped: later copies of a repeated generator
     counts: dict[Monomial, int] = {}
@@ -368,7 +411,7 @@ def parse_ideal(
     for g, c in counts.items():
         if c > 1 and g in minimal:
             dropped.extend([g] * (c - 1))
-    return MonomialIdeal(table, tuple(minimal)), dropped
+    return ideal, dropped
 
 
 def parse_monomial(text: str, table: VariableTable) -> Monomial:

@@ -30,7 +30,6 @@ from .monomials import (
     MonomialIdeal,
     VariableTable,
     format_ideal,
-    minimalize,
     parse_ideal,
 )
 
@@ -59,8 +58,9 @@ def random_squarefree_ideal(rng: random.Random, n: int, q: int) -> MonomialIdeal
             if not any(exps):
                 exps[rng.randrange(n)] = 1
             gens.append(Monomial(table, tuple(exps)))
-        if len(minimalize(gens)) == q and len(set(gens)) == q:
-            return MonomialIdeal(table, tuple(gens))
+        ideal = MonomialIdeal.minimal(gens)
+        if ideal.q == q:
+            return ideal
     return None
 
 
@@ -102,11 +102,25 @@ class InstanceResult:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's seed and sampling ranges.  The checks rule out only empty
+    ranges, a ValueError that names the `verify` flag.  Sampling redraws q
+    until one fits max_n, so a max_q far above the largest q that max_n
+    variables can hold makes it slow, not wrong."""
+
     seed: int = 1
     count: int = 100
     max_n: int = 6
     max_q: int = 4
     include_fixture: bool = True
+
+    def __post_init__(self):
+        for flag, value, least in (
+            ("--count", self.count, 0),
+            ("--max-n", self.max_n, 1),
+            ("--max-q", self.max_q, 1),
+        ):
+            if value < least:
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 @dataclass

@@ -183,10 +183,10 @@ def unmemoized_betti_numbers(lab, ideal, field=RATIONALS):
     """The Betti table `betti_numbers` reads off `lab`, with each restriction
     ranked on its own (no memo) and no support check."""
     total, graded = {}, {}
-    for m in ideal.sorted_lattice:
-        for d, r in ranks_from_members(lab._strict_members(m), field).items():
+    for exps in ideal.sorted_lattice:
+        for d, r in ranks_from_members(lab._strict_members(exps), field).items():
             if r:
-                graded[(d + 1, m)] = r
+                graded[(d + 1, ideal.table.monomial(exps))] = r
                 total[d + 1] = total.get(d + 1, 0) + r
     return BettiTable(total, graded)
 

@@ -11,6 +11,7 @@ from lsquare import complexes
 from lsquare.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -43,6 +44,17 @@ def test_usage_errors_exit_one_not_the_fail_code(capsys):
     assert code == 0 and "usage: lsquare" in out
     code, out, _ = parse_exit(capsys, "betti", "--help")
     assert code == 0 and "--max-taylor" in out
+
+
+def run_bounded(*argv, seconds=5):
+    """The CLI in a child process killed after `seconds`, so a hang fails the
+    test instead of stalling the suite: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsquare.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=seconds,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_usage_error_exit_code_of_the_module_entry_point():
@@ -118,6 +130,59 @@ def test_power_command(capsys):
 
     code, out, _ = run(capsys, "power", "ab", "-r", "1")
     assert "s = 1" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "-r", "6", "a,b,c,d,e,f,g,h,i,j"],
+        ["power", "-r", "40", "ab,bc,cd,de,ea,ac"],
+        ["betti", "--power", "40", "ab,bc,cd,de,ea,ac"],
+        ["check-support", "--power", "40", "--ideal", "ab,bc,cd,de,ea,ac"],
+        ["power", "-r", "1000000000", "x"],
+        ["power", "-r", "3998", "x,y"],
+    ],
+)
+def test_a_power_with_too_many_products_is_refused_before_any_is_built(capsys, argv):
+    # r * C(q + r - 1, r) generator factors: 30 030 for the first, 48 870 360
+    # for the next three, 10^9 for one product of 10^9 factors, and
+    # 15 988 002 for 3999 products of 3998 factors; the child process bounds a
+    # hang, the in-process run times the refusal
+    code, out, err = run_bounded(*argv)
+    assert code == 3 and out == "", argv
+    assert "generator factors" in err and err.rstrip().endswith("raise --max-products")
+    start = time.monotonic()
+    assert run(capsys, *argv)[0] == 3
+    assert time.monotonic() - start < 1, argv
+
+
+def test_max_products_lifts_the_power_cap(capsys):
+    # x, y, z cubed: 10 products of 3 factors each
+    code, _, err = run(capsys, "power", "-r", "3", "x,y,z", "--max-products", "29")
+    assert code == 3 and "(estimate 30, cap 29: 1.0x the cap)" in err
+    code, out, _ = run(capsys, "power", "-r", "3", "x,y,z", "--max-products", "30")
+    assert code == 0 and "s = 10" in out
+    # the square of the q = 4 running example has C(5, 2) = 10 products
+    for argv in (
+        ["betti", "--power", "2", "abe,bc,cdf,ad"],
+        ["check-support", "--power", "2", "--ideal", "abe,bc,cdf,ad"],
+    ):
+        code, _, err = run(capsys, *argv, "--max-products", "19")
+        assert code == 3 and err.rstrip().endswith("raise --max-products"), argv
+        code, _, err = run(capsys, *argv, "--max-products", "20")
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("power", ["0", "-1"])
+def test_a_power_below_one_is_an_input_error(capsys, power):
+    for argv in (
+        ["power", "-r", power, "ab,bc"],
+        ["betti", "--power", power, "ab,bc"],
+        ["check-support", "--power", power, "--ideal", "ab,bc"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err == "error: power exponent must be >= 1\n", argv
 
 
 def test_power_warns_on_nonminimal_input(capsys):
@@ -316,6 +381,9 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
         ({"facets": [[0, 1]], "vertices": 3, "labels": labels}, "'vertices'"),
         ({"facets": [[0, 1]], "labels": {"0": 5, "1": "y"}}, "'labels'"),
         ({"facets": [[0, 1]], "labels": {"0": "z", "1": "y"}}, "'labels'"),
+        ({"facets": [[0.7, 1.9]], "labels": labels}, "'facets'"),
+        ({"facets": [[0, 1.5]], "labels": labels}, "'facets'"),
+        ({"facets": [[0, 1]], "vertices": [0.5], "labels": labels}, "'vertices'"),
     ]
     path = tmp_path / "complex.json"
     for obj, key in shapes:
@@ -376,6 +444,21 @@ def test_huge_field_characteristic_is_a_usage_error(capsys):
     code, _, err = run(capsys, "betti", "x,y", "--field", f"gf:{2**89 - 1}")
     assert code == 1
     assert "3.3e24" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--max-n", "0", "--count", "3"], "--max-n"),
+        (["--max-q", "0"], "--max-q"),
+        (["--max-n", "-2"], "--max-n"),
+        (["--count", "-1"], "--count"),
+    ],
+)
+def test_verify_rejects_an_empty_sampling_range(flags, name):
+    code, out, err = run_bounded("verify", *flags)
+    assert code == 1 and out == "", flags
+    assert err.startswith(f"error: {name} must be >= "), flags
 
 
 def test_verify_command_deterministic(capsys):
@@ -441,3 +524,23 @@ def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
     assert code == 3 and out == ""
     assert "nerve enumeration exceeded the face cap" in err
     assert err.rstrip().endswith("raise --max-faces")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (
+            ["betti", "--power", "2", "--graded", "--format", "json", "--max-q", "10",
+             "aegijk,eijl,acdfk,acdefil,afgkl,bdghjkl,adfijl,afik,abfghj,aikl"],
+            "betti_q10_square.json",
+        ),
+        (["verify", "--seed", "1", "--count", "200", "--format", "json"],
+         "verify_seed1_count200.json"),
+    ],
+)
+def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, name):
+    # recorded before the lattice walks moved to exponent tuples; a change to
+    # any walk, order or count shows here
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (DATA / name).read_text()

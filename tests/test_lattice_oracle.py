@@ -16,7 +16,7 @@ from lsquare.randoms import sample_ideal
 
 
 def order_complex_graded_betti(ideal):
-    lattice = sorted(lcm_lattice(ideal), key=lambda m: m.exponents)
+    lattice = [ideal.table.monomial(exps) for exps in lcm_lattice(ideal)]
     graded = {}
     for m in lattice:
         below = [a for a in lattice if a != m and a.divides(m)]

@@ -16,6 +16,7 @@ from lsquare.monomials import (
     parse_generators,
     parse_ideal,
     parse_monomial,
+    thermometer_codes,
 )
 
 from oracles import lcm_lattice_by_subsets
@@ -149,6 +150,15 @@ def test_minimalize_keeps_incomparable_generators_untouched():
     assert minimalize(gens) == gens
 
 
+def test_minimalize_rejects_mixed_tables():
+    a = Monomial(VariableTable(("x", "y")), (1, 0))
+    b = Monomial(VariableTable(("x", "z")), (2, 0))
+    with pytest.raises(VariableMismatch):
+        minimalize([a, b])
+    same = Monomial(VariableTable(("x", "y")), (2, 0))
+    assert minimalize([same, a]) == [a]
+
+
 def test_ideal_power_principal():
     ideal, _ = parse_ideal("ab")
     square = ideal.power(2)
@@ -176,6 +186,23 @@ def test_ideal_power_no_collapse_case():
     assert {format_monomial(g) for g in square.gens} == expected
 
 
+def test_an_ideal_made_from_a_list_is_minimalized_once(monkeypatch):
+    # MonomialIdeal.minimal tells the constructor that its generators are
+    # minimalize's output, so the constructor does not minimalize them again
+    import lsquare.monomials as mono
+
+    calls = []
+    real = mono.minimalize
+    monkeypatch.setattr(mono, "minimalize", lambda gens: calls.append(1) or real(gens))
+    ideal, dropped = mono.parse_ideal("x,xy,y,x")
+    assert len(calls) == 1 and [format_monomial(g) for g in dropped] == ["xy", "x"]
+    square = ideal.power(2)
+    assert len(calls) == 2
+    assert square == MonomialIdeal(square.table, square.gens)
+    assert len(calls) == 3
+    assert [format_monomial(g) for g in square.gens] == ["x^2", "xy", "y^2"]
+
+
 def test_ideal_requires_minimal_generators():
     table = VariableTable(("x", "y"))
     x, y = table.variable(0), table.variable(1)
@@ -187,18 +214,25 @@ def test_ideal_requires_minimal_generators():
 # -- lcm lattice -------------------------------------------------------------
 
 
+def sorted_subset_lattice(ideal):
+    """The oracle's lattice as exponent tuples in `Monomial.sort_key` order."""
+    return tuple(sorted(m.sort_key() for m in lcm_lattice_by_subsets(ideal)))
+
+
 def test_lcm_lattice_examples():
     one_gen, _ = parse_ideal("ab")
-    assert lcm_lattice(one_gen) == frozenset(one_gen.gens)
+    assert lcm_lattice(one_gen) == ((1, 1),)
 
+    # a, b, c: bc < ab < abc as exponent tuples
     two, _ = parse_ideal("ab,bc")
-    assert {format_monomial(x) for x in lcm_lattice(two)} == {"ab", "bc", "abc"}
+    assert lcm_lattice(two) == ((0, 1, 1), (1, 1, 0), (1, 1, 1))
 
     xyz, _ = parse_ideal("x,y,z")
     assert len(lcm_lattice(xyz)) == 7
 
 
 def test_lcm_lattice_closure_matches_subset_enumeration():
+    # the same elements in the same order: square-free ideals and their squares
     import random
 
     from lsquare.randoms import random_squarefree_ideal
@@ -206,12 +240,15 @@ def test_lcm_lattice_closure_matches_subset_enumeration():
     rng = random.Random(13)
     for _ in range(20):
         ideal = random_squarefree_ideal(rng, 6, rng.randint(1, 5))
-        assert lcm_lattice(ideal) == lcm_lattice_by_subsets(ideal)
+        assert lcm_lattice(ideal) == sorted_subset_lattice(ideal)
+        square = ideal.power(2)
+        if square.q <= 10:
+            assert lcm_lattice(square) == sorted_subset_lattice(square)
     # a larger instance near the documented enumeration limit
     big = None
     while big is None:
         big = random_squarefree_ideal(rng, 9, 12)
-    assert lcm_lattice(big) == lcm_lattice_by_subsets(big)
+    assert lcm_lattice(big) == sorted_subset_lattice(big)
 
 
 def test_lcm_lattice_with_huge_exponents_closes_fast():
@@ -229,11 +266,48 @@ def test_lcm_lattice_with_huge_exponents_closes_fast():
     start = time.perf_counter()
     lattice = lcm_lattice(ideal)
     assert time.perf_counter() - start < 1.0
-    assert lattice == lcm_lattice_by_subsets(ideal)
-    assert ideal.sorted_lattice == tuple(sorted(lattice, key=Monomial.sort_key))
+    assert lattice == sorted_subset_lattice(ideal)
+    assert ideal.sorted_lattice == lattice
 
 
 # -- property tests -----------------------------------------------------------
+
+
+@st.composite
+def monomial_lists(draw):
+    """Up to 8 monomials in up to 8 variables; small exponents make ties,
+    divisors and repeats common next to exponents up to 10^6."""
+    n = draw(st.integers(1, 8))
+    table = VariableTable(tuple("abcdefgh"[:n]))
+    exponent = st.one_of(st.integers(0, 2), st.integers(0, 10**6))
+    rows = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return [table.monomial(r) for r in rows]
+
+
+@settings(max_examples=300)
+@given(monomial_lists())
+def test_thermometer_codes_agree_with_monomial_arithmetic(gens):
+    codes, lanes = thermometer_codes(gens)
+    assert len(lanes) == gens[0].table.n
+    assert all(len(levels) - 1 <= len(gens) for levels in lanes)
+
+    def decode(c):
+        exps = []
+        for levels in reversed(lanes):
+            width = len(levels) - 1
+            exps.append(levels[(c & (1 << width) - 1).bit_length()])
+            c >>= width
+        return tuple(reversed(exps))
+
+    for u, c in zip(gens, codes):
+        assert decode(c) == u.exponents
+        for v, d in zip(gens, codes):
+            assert decode(c | d) == u.lcm(v).exponents
+            assert (d & ~c == 0) == v.divides(u)
+            assert (c == d) == (u == v)
+            assert (c < d) == (u.sort_key() < v.sort_key())
+
 
 small_monomials = st.builds(
     lambda exps: Monomial(ABC, exps),
@@ -335,4 +409,4 @@ def exponent_ideals(draw):
 @given(exponent_ideals())
 def test_packed_lattice_matches_subset_enumeration(ideal):
     assume(not ideal.is_squarefree())
-    assert lcm_lattice(ideal) == lcm_lattice_by_subsets(ideal)
+    assert lcm_lattice(ideal) == sorted_subset_lattice(ideal)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from lsquare import complexes as cx
 from lsquare import l2
 from lsquare.monomials import format_ideal, minimalize, parse_ideal
@@ -93,6 +95,18 @@ def test_run_sweep_deterministic_and_empty():
 
     empty = run_sweep(SweepConfig(seed=3, count=0))
     assert empty.instances == [] and empty.all_passed
+
+
+def test_sweep_config_rejects_ranges_no_ideal_fits():
+    # max_n = 0 once made sample_ideal loop forever, max_q = 0 crashed randrange
+    for kwargs, flag in (
+        ({"max_n": 0}, "--max-n"),
+        ({"max_q": 0}, "--max-q"),
+        ({"count": -1}, "--count"),
+    ):
+        with pytest.raises(ValueError, match=f"^{flag} must be >= "):
+            SweepConfig(**kwargs)
+    assert len(run_sweep(SweepConfig(count=2, max_n=1, max_q=9)).instances) == 3
 
 
 def test_ideal_checks_reports_a_non_quasi_forest(monkeypatch):
