@@ -68,10 +68,6 @@ class SimplicialComplex:
     def facet_masks(self) -> tuple[int, ...]:
         return tuple(self.mask_of(f) for f in self.facets)
 
-    def __contains__(self, face: Iterable[int]) -> bool:
-        f = frozenset(face)
-        return any(f <= g for g in self.facets)
-
     def __str__(self) -> str:
         if self.is_void:
             return "<void complex>"

@@ -13,9 +13,7 @@ list is always such a family).  Three steps are used, cheapest first:
   from the top dimension down, leaving out every column that a pivot of the
   map above already shows to be dependent (clearing: a reduced column of d_d
   with smallest index c has zero boundary, so d(c) is a combination of the
-  d(s) with s > c; the full proof is in `ranks_from_face_masks`).  On the
-  three q = 10 benchmark ideals (traced pass, seed 1) this cut Q elimination
-  from 1.28 s to 0.09 s per pass and the whole pass from 2.20 s to 1.01 s;
+  d(s) with s > c; the full proof is in `ranks_from_face_masks`);
 * nerve reduction: when the face count would blow up but the member count is
   small, compute the homology of the nerve of the member family instead.  All
   nonempty intersections of simplexes on vertex subsets are simplexes, hence
@@ -32,10 +30,7 @@ so the boundary matrices of two cores that renumber alike are equal entry for
 entry, signs included, and so are their ranks over every field.  A caller
 that ranks many restrictions (`labeled.betti_numbers`) passes one memo of
 renumbered core -> ranks for the length of its call, and an equal core met
-again is not enumerated or ranked a second time.  With `betti --power 2`
-reading the square's Betti numbers off the Taylor complex, this cut the rank
-calls of a traced pass over the three q = 10 benchmark ideals (seed 1) from
-4 286 to 1 297 and the faces enumerated from 62 475 to 31 574.
+again is not enumerated or ranked a second time.
 
 Rank results are returned as dicts {dimension: rank} with keys running from -1
 (the augmentation spot) up to the complex dimension.  The void complex (no
@@ -142,6 +137,7 @@ class PrimeField:
 
 
 RATIONALS = RationalField()
+GF2 = PrimeField(2)
 
 Field = RationalField | PrimeField
 
@@ -161,7 +157,7 @@ def parse_field(spec: str) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def rank_gf2(rows: list[int], pivots: set[int] | None = None) -> int:
+def rank_gf2(rows: list[int], pivots: set[int]) -> int:
     reduced: dict[int, int] = {}
     for row in rows:
         while row:
@@ -171,14 +167,11 @@ def rank_gf2(rows: list[int], pivots: set[int] | None = None) -> int:
                 reduced[low] = row
                 break
             row ^= piv
-    if pivots is not None:
-        pivots.update(low.bit_length() - 1 for low in reduced)
+    pivots.update(low.bit_length() - 1 for low in reduced)
     return len(reduced)
 
 
-def rank_gfp(
-    rows: list[dict[int, int]], p: int, pivots: set[int] | None = None
-) -> int:
+def rank_gfp(rows: list[dict[int, int]], p: int, pivots: set[int]) -> int:
     reduced: dict[int, dict[int, int]] = {}
     for raw in rows:
         row = {c: v % p for c, v in raw.items() if v % p}
@@ -196,12 +189,11 @@ def rank_gfp(
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-    if pivots is not None:
-        pivots.update(reduced)
+    pivots.update(reduced)
     return len(reduced)
 
 
-def rank_rational(rows: list[dict[int, int]], pivots: set[int] | None = None) -> int:
+def rank_rational(rows: list[dict[int, int]], pivots: set[int]) -> int:
     """Exact rank over Q via integer rows: scaling a row never changes rank,
     so eliminations use a*row - b*pivot followed by gcd normalization."""
     reduced: dict[int, dict[int, int]] = {}
@@ -248,23 +240,21 @@ def rank_rational(rows: list[dict[int, int]], pivots: set[int] | None = None) ->
                     if g > 1:
                         new = {cc: vv // g for cc, vv in new.items()}
             row = new
-    if pivots is not None:
-        pivots.update(reduced)
+    pivots.update(reduced)
     return len(reduced)
 
 
-def matrix_rank(columns, field: Field, pivots: set[int] | None = None) -> int:
-    """Rank of the matrix with the given columns (dicts, or bit rows over GF(2)).
+def matrix_rank(columns, field: Field, pivots: set[int]) -> int:
+    """Rank of the matrix with the given columns: bit rows over GF2, dicts
+    over every other field.
 
     Every kernel reduces each column until its smallest index is new, so the
-    rank is the number of pivots; when `pivots` is given, the smallest index of
-    each reduced column is added to it.
+    rank is the number of pivots; the smallest index of each reduced column
+    is added to `pivots`.
     """
+    if field == GF2:
+        return rank_gf2(columns, pivots)
     if isinstance(field, PrimeField):
-        if field.p == 2 and columns and isinstance(columns[0], int):
-            return rank_gf2(columns, pivots)
-        if columns and isinstance(columns[0], int):
-            raise TypeError("bit columns are only valid over GF(2)")
         return rank_gfp(columns, field.p, pivots)
     return rank_rational(columns, pivots)
 
@@ -343,7 +333,7 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
         lst.sort()
         index[d] = {mask: k for k, mask in enumerate(lst)}
 
-    gf2 = isinstance(field, PrimeField) and field.p == 2
+    gf2 = field == GF2
     boundary_rank: dict[int, int] = {}
     cleared: set[int] = set()
     for d in range(top, -1, -1):

@@ -121,10 +121,6 @@ class DeletionRecord:
             "t": list(self.t),
         }
 
-    @classmethod
-    def from_json(cls, obj, q: int) -> "DeletionRecord":
-        return cls(q, frozenset(PairVertex(i, j) for i, j in obj["deleted"]))
-
 
 def _deletion_scan(products: dict[tuple[int, int], Monomial]) -> set[tuple[int, int]]:
     """Redundant pairs of a pair-product table {(i, j): g_i * g_j}.

@@ -197,15 +197,14 @@ def supports_resolution_homological(
 
 @dataclass
 class BettiTable:
-    """Total and (optionally) multigraded Betti numbers; zero entries are dropped."""
+    """Total and multigraded Betti numbers; zero entries are dropped."""
 
     total: dict[int, int]
-    graded: dict[tuple[int, Monomial], int] | None = None
+    graded: dict[tuple[int, Monomial], int]
 
     def __post_init__(self):
         self.total = {d: r for d, r in self.total.items() if r}
-        if self.graded is not None:
-            self.graded = {k: r for k, r in self.graded.items() if r}
+        self.graded = {k: r for k, r in self.graded.items() if r}
 
     @property
     def max_d(self) -> int:
@@ -216,28 +215,15 @@ class BettiTable:
         return [self.total.get(d, 0) for d in range(top + 1)]
 
     def to_json(self) -> dict:
-        obj: dict = {"total": {str(d): r for d, r in sorted(self.total.items())}}
-        if self.graded is not None:
-            obj["graded"] = [
+        return {
+            "total": {str(d): r for d, r in sorted(self.total.items())},
+            "graded": [
                 {"d": d, "m": str(m), "rank": r}
                 for (d, m), r in sorted(
                     self.graded.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
                 )
-            ]
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: Mapping, table: VariableTable) -> "BettiTable":
-        from .monomials import parse_monomial
-
-        total = {int(d): int(r) for d, r in obj["total"].items()}
-        graded = None
-        if "graded" in obj and obj["graded"] is not None:
-            graded = {
-                (int(e["d"]), parse_monomial(e["m"], table)): int(e["rank"])
-                for e in obj["graded"]
-            }
-        return cls(total, graded)
+            ],
+        }
 
 
 def betti_numbers(

@@ -9,8 +9,7 @@ values can be shared freely between threads and used as dict/set keys.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add, le
 from typing import Sequence
@@ -45,6 +44,11 @@ class VariableTable:
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def single_letter(self) -> bool:
+        """Every name is one letter, so monomials print without `*`."""
+        return all(len(s) == 1 and s.isalpha() for s in self.names)
 
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.n)
@@ -170,10 +174,14 @@ def minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
 
     Exact duplicates collapse to their first occurrence; the relative order of
     the survivors is preserved, so generator indices stay deterministic.
-    Divisibility is read off `thermometer_codes`.  The bits of a proper
-    divisor are a proper subset, so each distinct code is tested only against
-    the codes with fewer bits; codes of one bit count, as the degree-r
-    products of variables, cost no test at all.
+    Divisibility is read off `thermometer_codes`.  The distinct codes are
+    taken in order of bit count, and each is tested only against the
+    survivors of smaller bit counts, so codes of one bit count, as the
+    degree-r products of variables, are never tested against each other.
+    That is exact: the bits of a proper divisor are a proper subset, so it
+    has strictly fewer bits and comes first; and a divisor that was dropped
+    has a surviving divisor, which divides the code too.  So a code is
+    dropped exactly when some other code divides it.
     """
     gens = list(gens)
     if not gens:
@@ -181,49 +189,41 @@ def minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
     codes, _ = thermometer_codes(gens)
     # filled back to front, so each code keeps its first monomial
     first = dict(zip(reversed(codes), reversed(gens)))
-    ordered = sorted(first, key=int.bit_count)
-    bits = list(map(int.bit_count, ordered))
-    redundant = {
-        c
-        for c, b in zip(ordered, bits)
-        if 0 in map((~c).__and__, itertools.islice(ordered, bisect_left(bits, b)))
-    }
-    return [first[c] for c in dict.fromkeys(codes) if c not in redundant]
+    kept: list[int] = []
+    for _, group in itertools.groupby(sorted(first, key=int.bit_count), int.bit_count):
+        # the whole group is tested before any of it is kept
+        kept += [c for c in group if 0 not in map((~c).__and__, kept)]
+    survivors = set(kept)
+    return [first[c] for c in dict.fromkeys(codes) if c in survivors]
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal presented by its minimal generating set.
 
-    The constructor insists on minimality (no duplicates, no generator dividing
-    another); use `MonomialIdeal.minimal` to build from an arbitrary list.
-    `minimalized=True` says that `gens` is `minimalize`'s own output, whose
-    minimality needs no second check; only `minimal` passes it.
+    The constructor stores `minimalize(gens)`, so every instance is minimal;
+    use `MonomialIdeal.minimal` to take the table from the first generator.
     """
 
     table: VariableTable
     gens: tuple[Monomial, ...]
-    minimalized: InitVar[bool] = False
 
-    def __post_init__(self, minimalized: bool):
+    def __post_init__(self):
         gens = tuple(self.gens)
-        object.__setattr__(self, "gens", gens)
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
         for g in gens:
             if g.table != self.table:
                 raise VariableMismatch("generator over a different variable table")
-        if not minimalized and len(minimalize(gens)) != len(gens):
-            raise ValueError("generating set is not minimal")
+        object.__setattr__(self, "gens", tuple(minimalize(gens)))
 
     @classmethod
     def minimal(cls, gens: Sequence[Monomial]) -> "MonomialIdeal":
-        """The ideal generated by `gens`, presented by `minimalize(gens)`,
-        which is computed once."""
-        gens = list(gens)
+        """The ideal generated by `gens`, over the table of the first."""
+        gens = tuple(gens)
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
-        return cls(gens[0].table, tuple(minimalize(gens)), minimalized=True)
+        return cls(gens[0].table, gens)
 
     @property
     def q(self) -> int:
@@ -424,13 +424,12 @@ def parse_monomial(text: str, table: VariableTable) -> Monomial:
 def format_monomial(m: Monomial) -> str:
     if m.is_one:
         return "1"
-    compact = all(len(s) == 1 and s.isalpha() for s in m.table.names)
     parts = []
     for name, e in zip(m.table.names, m.exponents):
         if e == 0:
             continue
         parts.append(name if e == 1 else f"{name}^{e}")
-    return "".join(parts) if compact else "*".join(parts)
+    return "".join(parts) if m.table.single_letter else "*".join(parts)
 
 
 def format_ideal(ideal: MonomialIdeal) -> str:

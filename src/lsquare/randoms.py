@@ -1,10 +1,11 @@
 """Random square-free ideals and the seeded invariant sweep behind `verify`.
 
 The sampling model: draw a generator count q and a variable count n uniformly
-from the configured ranges (n is floored so that q pairwise-incomparable
-subsets can exist at all), then draw each generator as a uniform nonempty
-variable subset and reject the batch unless it is already a minimal generating
-set.  A fixed seed determines the whole sweep.
+from the configured ranges (q is capped at the most pairwise-incomparable
+subsets that max_n variables hold, and n is floored so that q of them exist),
+then draw each generator as a uniform nonempty variable subset and reject the
+batch unless it is already a minimal generating set.  A fixed seed determines
+the whole sweep.
 """
 
 from __future__ import annotations
@@ -65,12 +66,12 @@ def random_squarefree_ideal(rng: random.Random, n: int, q: int) -> MonomialIdeal
 
 
 def sample_ideal(rng: random.Random, max_n: int, max_q: int) -> MonomialIdeal:
+    """A random square-free ideal: q from 1..min(max_q, C(max_n, max_n // 2)),
+    the most pairwise-incomparable subsets of max_n variables, then n from
+    the least that hold q up to max_n."""
     while True:
-        q = rng.randint(1, max_q)
-        lo = _min_n_for(q)
-        if lo > max_n:
-            continue
-        n = rng.randint(lo, max_n)
+        q = rng.randint(1, min(max_q, comb(max_n, max_n // 2)))
+        n = rng.randint(_min_n_for(q), max_n)
         ideal = random_squarefree_ideal(rng, n, q)
         if ideal is not None:
             return ideal
@@ -102,10 +103,10 @@ class InstanceResult:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A sweep's seed and sampling ranges.  The checks rule out only empty
-    ranges, a ValueError that names the `verify` flag.  Sampling redraws q
-    until one fits max_n, so a max_q far above the largest q that max_n
-    variables can hold makes it slow, not wrong."""
+    """A sweep's seed and sampling ranges.  The checks rule out empty ranges
+    and more variables than the 26 letters that name them, a ValueError that
+    names the `verify` flag.  A max_q above the largest q that max_n
+    variables can hold is cut down to it when q is drawn."""
 
     seed: int = 1
     count: int = 100
@@ -121,6 +122,10 @@ class SweepConfig:
         ):
             if value < least:
                 raise ValueError(f"{flag} must be >= {least}, got {value}")
+        if self.max_n > len(string.ascii_lowercase):
+            raise ValueError(
+                f"--max-n must be <= {len(string.ascii_lowercase)}, got {self.max_n}"
+            )
 
 
 @dataclass

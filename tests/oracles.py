@@ -147,7 +147,7 @@ def plain_ranks_from_face_masks(faces, field):
             bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
             entries = {rows[mask ^ (1 << b)]: (-1) ** pos for pos, b in enumerate(bits)}
             columns.append(sum(1 << r for r in entries) if gf2 else entries)
-        boundary_rank[d] = matrix_rank(columns, field)
+        boundary_rank[d] = matrix_rank(columns, field, set())
     return {
         d: len(by_dim.get(d, ()))
         - boundary_rank.get(d, 0)
@@ -213,6 +213,23 @@ def brute_connected(facets):
                 seen.add(w)
                 queue.append(w)
     return seen == verts
+
+
+def minimalize_pairwise(gens):
+    """`minimalize` by testing every pair of exponent tuples: the first
+    occurrence of each monomial that no other list element strictly divides,
+    in list order."""
+    out = []
+    for k, g in enumerate(gens):
+        if g.exponents in (h.exponents for h in gens[:k]):
+            continue
+        if not any(
+            h.exponents != g.exponents
+            and all(a <= b for a, b in zip(h.exponents, g.exponents))
+            for h in gens
+        ):
+            out.append(g)
+    return out
 
 
 def lcm_lattice_by_subsets(ideal):
@@ -381,4 +398,5 @@ def top_label(lab):
 
 def betti_upper_bounds(lab):
     """Face counts of the complex, an entrywise bound for the Betti numbers."""
-    return BettiTable({d: c for d, c in enumerate(enumerated_f_vector(lab.complex))})
+    total = dict(enumerate(enumerated_f_vector(lab.complex)))
+    return BettiTable(total, {})

@@ -332,12 +332,12 @@ def test_rank_functions_match_dense_oracle():
         sparse = [
             {j: v for j, v in enumerate(row) if v} for row in dense
         ]
-        assert rank_rational(sparse) == dense_rank(dense)
-        assert rank_gfp(sparse, 3) == dense_rank(dense, p=3)
+        assert rank_rational(sparse, set()) == dense_rank(dense)
+        assert rank_gfp(sparse, 3, set()) == dense_rank(dense, p=3)
         bits = [
             sum(1 << j for j, v in enumerate(row) if v % 2) for row in dense
         ]
-        assert rank_gf2(bits) == dense_rank(dense, p=2)
+        assert rank_gf2(bits, set()) == dense_rank(dense, p=2)
 
 
 def test_rank_kernels_report_the_smallest_index_pivots():

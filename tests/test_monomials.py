@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from lsquare.monomials import (
     thermometer_codes,
 )
 
-from oracles import lcm_lattice_by_subsets
+from oracles import lcm_lattice_by_subsets, minimalize_pairwise
 
 ABC = VariableTable(("a", "b", "c"))
 
@@ -187,8 +188,8 @@ def test_ideal_power_no_collapse_case():
 
 
 def test_an_ideal_made_from_a_list_is_minimalized_once(monkeypatch):
-    # MonomialIdeal.minimal tells the constructor that its generators are
-    # minimalize's output, so the constructor does not minimalize them again
+    # the constructor minimalizes, and MonomialIdeal.minimal only picks the
+    # table, so each ideal built costs one minimalize call
     import lsquare.monomials as mono
 
     calls = []
@@ -206,8 +207,7 @@ def test_an_ideal_made_from_a_list_is_minimalized_once(monkeypatch):
 def test_ideal_requires_minimal_generators():
     table = VariableTable(("x", "y"))
     x, y = table.variable(0), table.variable(1)
-    with pytest.raises(ValueError):
-        MonomialIdeal(table, (x, x * y))
+    assert MonomialIdeal(table, (x, x * y)).gens == (x,)
     assert MonomialIdeal.minimal([x, x * y, y]).q == 2
 
 
@@ -307,6 +307,39 @@ def test_thermometer_codes_agree_with_monomial_arithmetic(gens):
             assert (d & ~c == 0) == v.divides(u)
             assert (c == d) == (u == v)
             assert (c < d) == (u.sort_key() < v.sort_key())
+
+
+@st.composite
+def lists_with_divisor_chains(draw):
+    """`monomial_lists` with up to three chains g | g*h | g*h*h' of multiples
+    of its elements inserted at random places."""
+    gens = draw(monomial_lists())
+    table = gens[0].table
+    exponent = st.one_of(st.integers(0, 2), st.integers(0, 10**6))
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.sampled_from(gens))
+        for _ in range(draw(st.integers(1, 3))):
+            m = m * table.monomial(draw(st.tuples(*[exponent] * table.n)))
+            gens.insert(draw(st.integers(0, len(gens))), m)
+    return gens
+
+
+@settings(max_examples=300)
+@given(lists_with_divisor_chains())
+def test_minimalize_matches_the_pairwise_oracle(gens):
+    got, want = minimalize(gens), minimalize_pairwise(gens)
+    # identity, not just equality: a repeat keeps its first occurrence
+    assert list(map(id, got)) == list(map(id, want))
+
+
+@settings(max_examples=200)
+@given(lists_with_divisor_chains())
+def test_the_constructor_presents_the_ideal_by_incomparable_generators(gens):
+    ideal = MonomialIdeal(gens[0].table, gens)
+    assert ideal == MonomialIdeal.minimal(gens)
+    for g, h in itertools.permutations(ideal.gens, 2):
+        assert not g.divides(h)
+    assert all(any(g.divides(m) for g in ideal.gens) for m in gens)
 
 
 small_monomials = st.builds(

@@ -106,6 +106,8 @@ def test_sweep_config_rejects_ranges_no_ideal_fits():
     ):
         with pytest.raises(ValueError, match=f"^{flag} must be >= "):
             SweepConfig(**kwargs)
+    with pytest.raises(ValueError, match="^--max-n must be <= 26, got 27$"):
+        SweepConfig(max_n=27)
     assert len(run_sweep(SweepConfig(count=2, max_n=1, max_q=9)).instances) == 3
 
 
