@@ -9,9 +9,10 @@ list is always such a family).  Three steps are used, cheapest first:
   is a single simplex is acyclic, and anything else goes on to the routes
   below with fewer faces and fewer members;
 * face enumeration: list every face, build sparse boundary matrices, and take
-  exact ranks (integer fraction-free elimination over Q, bit-rows over GF(2)),
-  from the top dimension down, leaving out every column that a pivot of the
-  map above already shows to be dependent (clearing: a reduced column of d_d
+  exact ranks with one fraction-free elimination for every field
+  (`matrix_rank`: integer rows over Q, rows reduced mod p over GF(p)), from
+  the top dimension down, leaving out every column that a pivot of the map
+  above already shows to be dependent (clearing: a reduced column of d_d
   with smallest index c has zero boundary, so d(c) is a combination of the
   d(s) with s > c; the full proof is in `ranks_from_face_masks`);
 * nerve reduction: when the face count would blow up but the member count is
@@ -137,7 +138,6 @@ class PrimeField:
 
 
 RATIONALS = RationalField()
-GF2 = PrimeField(2)
 
 Field = RationalField | PrimeField
 
@@ -146,7 +146,7 @@ def parse_field(spec: str) -> Field:
     s = spec.strip().lower()
     if s in ("rational", "rationals", "qq", "q"):
         return RATIONALS
-    if s.startswith("gf:"):
+    if s.startswith("gf:") and s[3:].isdecimal():
         return PrimeField(int(s[3:]))
     raise ValueError(f"unknown field spec {spec!r} (use 'rational' or 'gf:p')")
 
@@ -157,106 +157,65 @@ def parse_field(spec: str) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def rank_gf2(rows: list[int], pivots: set[int]) -> int:
-    reduced: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            piv = reduced.get(low)
-            if piv is None:
-                reduced[low] = row
-                break
-            row ^= piv
-    pivots.update(low.bit_length() - 1 for low in reduced)
-    return len(reduced)
+def matrix_rank(columns: list[dict[int, int]], field: Field, pivots: set[int]) -> int:
+    """Rank over `field` of the matrix with the given columns, each a dict
+    {row index: nonzero integer entry}.
 
-
-def rank_gfp(rows: list[dict[int, int]], p: int, pivots: set[int]) -> int:
+    One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves every
+    field.  Each column is reduced against the stored pivots until its
+    smallest index is new, and is then stored under that index; the rank is
+    the number of pivots, and each pivot index is added to `pivots`.  With a
+    and b the leading entries of the pivot and the column, a column is
+    reduced by row - (b/a)*pivot when a is -1 or 1, and by a*row - b*pivot
+    otherwise; scaling a column by a nonzero a keeps the span, so no fraction
+    arises.  Over Q a stored pivot and every a*row - b*pivot are divided by
+    the gcd of their entries, which keeps the integers small.  Over GF(p)
+    every entry is kept in 0..p-1, so entries that vanish mod p drop out, and
+    -1 is p - 1: with p = 0 standing for Q, a is -1 or 1 exactly when it is
+    p - 1 or 1.  Scaling GF(p) pivots to leading entry 1 was measured to be
+    slower, since most columns of a boundary matrix become pivots after few
+    steps.
+    """
+    p = field.p if isinstance(field, PrimeField) else 0
     reduced: dict[int, dict[int, int]] = {}
-    for raw in rows:
-        row = {c: v % p for c, v in raw.items() if v % p}
+    for column in columns:
+        row = {c: v % p for c, v in column.items() if v % p} if p else dict(column)
         while row:
             c = min(row)
             piv = reduced.get(c)
             if piv is None:
-                inv = pow(row[c], -1, p)
-                reduced[c] = {cc: (vv * inv) % p for cc, vv in row.items()}
+                reduced[c] = row if p else _primitive(row)
                 break
-            f = row[c]
+            a, f = piv[c], row[c]
+            unit = a == 1 or a == p - 1
+            if unit:
+                f *= a  # b/a, since a*a is 1
+            elif p:
+                row = {cc: a * vv % p for cc, vv in row.items()}
+            else:
+                row = {cc: a * vv for cc, vv in row.items()}
             for cc, vv in piv.items():
-                nv = (row.get(cc, 0) - f * vv) % p
-                if nv:
-                    row[cc] = nv
+                w = row.get(cc, 0) - f * vv
+                if p:
+                    w %= p
+                if w:
+                    row[cc] = w
                 else:
                     row.pop(cc, None)
+            if row and not unit and not p:
+                row = _primitive(row)
     pivots.update(reduced)
     return len(reduced)
 
 
-def rank_rational(rows: list[dict[int, int]], pivots: set[int]) -> int:
-    """Exact rank over Q via integer rows: scaling a row never changes rank,
-    so eliminations use a*row - b*pivot followed by gcd normalization."""
-    reduced: dict[int, dict[int, int]] = {}
-    for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
-        while row:
-            c = min(row)
-            piv = reduced.get(c)
-            if piv is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    row = {cc: vv // g for cc, vv in row.items()}
-                reduced[c] = row
-                break
-            a = piv[c]
-            b = row[c]
-            if a == 1 or a == -1:
-                f = b * a  # b/a, exact for unit pivots; no rescaling needed
-                new = dict(row)
-                for cc, vv in piv.items():
-                    w = new.get(cc, 0) - f * vv
-                    if w:
-                        new[cc] = w
-                    else:
-                        new.pop(cc, None)
-            else:
-                new = {cc: a * vv for cc, vv in row.items()}
-                for cc, vv in piv.items():
-                    w = new.get(cc, 0) - b * vv
-                    if w:
-                        new[cc] = w
-                    else:
-                        new.pop(cc, None)
-                if new:
-                    g = 0
-                    for v in new.values():
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        new = {cc: vv // g for cc, vv in new.items()}
-            row = new
-    pivots.update(reduced)
-    return len(reduced)
-
-
-def matrix_rank(columns, field: Field, pivots: set[int]) -> int:
-    """Rank of the matrix with the given columns: bit rows over GF2, dicts
-    over every other field.
-
-    Every kernel reduces each column until its smallest index is new, so the
-    rank is the number of pivots; the smallest index of each reduced column
-    is added to `pivots`.
-    """
-    if field == GF2:
-        return rank_gf2(columns, pivots)
-    if isinstance(field, PrimeField):
-        return rank_gfp(columns, field.p, pivots)
-    return rank_rational(columns, pivots)
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The integer row divided by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return {c: v // g for c, v in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +272,7 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
     that are kept.  Faces of each dimension are indexed in ascending mask
     order, and `matrix_rank` pivots every reduced column on its smallest index.
 
-    Proof that clearing keeps the rank, over Q, GF(2) and every GF(p) alike.
+    Proof that clearing keeps the rank, over Q and every GF(p) alike.
     A reduced column R of d_d with pivot c is a combination of boundaries, so
     R = b_c*c + sum over s > c of b_s*s with b_c != 0, and d(R) = 0 since
     d_{d-1} d_d = 0.  So d(c) lies in the span of the d(s) with s > c.  Going
@@ -333,7 +292,6 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
         lst.sort()
         index[d] = {mask: k for k, mask in enumerate(lst)}
 
-    gf2 = field == GF2
     boundary_rank: dict[int, int] = {}
     cleared: set[int] = set()
     for d in range(top, -1, -1):
@@ -346,16 +304,10 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
         for k, mask in enumerate(by_dim[d]):
             if k in cleared:
                 continue
-            if gf2:
-                col = 0
-                for b in _bits(mask):
-                    col |= 1 << rows_below[mask ^ (1 << b)]
-                columns.append(col)
-            else:
-                col = {}
-                for pos, b in enumerate(_bits(mask)):
-                    col[rows_below[mask ^ (1 << b)]] = -1 if pos & 1 else 1
-                columns.append(col)
+            col = {}
+            for pos, b in enumerate(_bits(mask)):
+                col[rows_below[mask ^ (1 << b)]] = -1 if pos & 1 else 1
+            columns.append(col)
         cleared = set()
         boundary_rank[d] = matrix_rank(columns, field, cleared)
 

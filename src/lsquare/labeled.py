@@ -63,26 +63,32 @@ class LabeledComplex:
         return m
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Bit-sliced labels: column p, entry e, masks the vertices whose label
-        has exponent at most e in variable p (bits in sorted vertex order, as in
-        `SimplicialComplex.facet_masks`); each column ends at the full mask."""
+    def _columns(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """Bit-sliced labels, two tables of one column per variable: column p
+        maps 0 and each exponent e that a label has in variable p to the mask
+        of the vertices whose label has exponent at most e (first table) or
+        below e (second table) in p, bits in sorted vertex order as in
+        `SimplicialComplex.facet_masks`.  The lcm lattice of the labels has
+        only these exponents, so x^1000000 costs what x^2 does."""
         rows = [self.labels[v].exponents for v in sorted(self.complex.vertices)]
-        columns = []
+        at_most = [{} for _ in range(self.table.n)]
+        below = [{} for _ in range(self.table.n)]
         for p in range(self.table.n):
-            column = [0] * (max((e[p] for e in rows), default=0) + 1)
+            exact = {0: 0}
             for k, e in enumerate(rows):
-                column[e[p]] |= 1 << k
-            for e in range(1, len(column)):
-                column[e] |= column[e - 1]
-            columns.append(tuple(column))
-        return tuple(columns)
+                exact[e[p]] = exact.get(e[p], 0) | 1 << k
+            mask = 0
+            for e in sorted(exact):
+                below[p][e] = mask
+                mask |= exact[e]
+                at_most[p][e] = mask
+        return at_most, below
 
     def _divisor_mask(self, exps: tuple[int, ...]) -> int:
         """Vertices whose label divides the monomial with exponents `exps`,
-        for one dividing the top label."""
+        a point of the lcm lattice of the labels."""
         mask = (1 << len(self.complex.vertices)) - 1
-        for column, e in zip(self._columns, exps):
+        for column, e in zip(self._columns[0], exps):
             mask &= column[e]
         return mask
 
@@ -99,12 +105,14 @@ class LabeledComplex:
         lcm(F) divides m/x_p with m_p > 0, it divides m and falls short of m
         in variable p.  A face label divides m' exactly when every vertex label
         of the face does, so X_{<=m'} is the subcomplex induced on the vertex
-        set V(m') = AND_p column_p[m'_p], spanned by the facets cut down to
-        V(m').  For m' = m/x_p that set is V(m) & column_p[m_p - 1].  Here m
-        is given by its exponents `exps`.
+        set V(m') of the vertices whose label has exponent at most m'_p in
+        every p, spanned by the facets cut down to V(m').  For m' = m/x_p that
+        set is V(m) cut down to the vertices whose label has exponent below
+        m_p in p.  Here m is given by its exponents `exps`, a point of the lcm
+        lattice of the labels.
         """
         vm = self._divisor_mask(exps)
-        below = [vm & column[e - 1] for column, e in zip(self._columns, exps) if e]
+        below = [vm & column[e] for column, e in zip(self._columns[1], exps) if e]
         return [fm & b for fm in self.complex.facet_masks for b in below]
 
 

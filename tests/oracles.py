@@ -9,7 +9,7 @@ characterization directly.
 
 Four kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
 is the package's boundary-rank pass without clearing, on the package's own
-rank kernels, so a test can isolate the clearing; `forced_ranks` runs one of
+`matrix_rank`, so a test can isolate the clearing; `forced_ranks` runs one of
 the package's two face routes on the unreduced family, so a test can compare
 the routes; `unmemoized_betti_numbers` ranks every restriction with the
 package's `ranks_from_members` and no memo, so a test can isolate the memo;
@@ -24,7 +24,6 @@ from lsquare.complexes import SimplicialComplex, induced_subcomplex
 from lsquare.homology import (
     DEFAULT_LIMITS,
     RATIONALS,
-    PrimeField,
     _nerve_face_masks,
     enumerate_face_masks,
     matrix_rank,
@@ -136,7 +135,6 @@ def plain_ranks_from_face_masks(faces, field):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     for lst in by_dim.values():
         lst.sort()
-    gf2 = isinstance(field, PrimeField) and field.p == 2
     boundary_rank = {}
     for d in range(max(by_dim) + 1):
         if d - 1 not in by_dim:
@@ -145,8 +143,9 @@ def plain_ranks_from_face_masks(faces, field):
         columns = []
         for mask in by_dim[d]:
             bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
-            entries = {rows[mask ^ (1 << b)]: (-1) ** pos for pos, b in enumerate(bits)}
-            columns.append(sum(1 << r for r in entries) if gf2 else entries)
+            columns.append(
+                {rows[mask ^ (1 << b)]: (-1) ** pos for pos, b in enumerate(bits)}
+            )
         boundary_rank[d] = matrix_rank(columns, field, set())
     return {
         d: len(by_dim.get(d, ()))

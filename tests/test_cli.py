@@ -442,6 +442,24 @@ def test_huge_field_characteristic_is_a_usage_error(capsys):
     assert "3.3e24" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["gf:abc", "gf:", "gf:1e3"])
+def test_a_malformed_field_spec_is_a_usage_error(capsys, spec):
+    code, out, err = run(capsys, "betti", "x,y", "--field", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: unknown field spec {spec!r} (use 'rational' or 'gf:p')\n"
+
+
+def test_huge_exponents_cost_what_small_ones_do(capsys):
+    # the label table holds one entry per exponent that occurs, so neither
+    # the Betti walk nor the support walk grows with the exponent's size
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "betti", "--format", "csv", "x^30000000,y")
+    assert code == 0 and "beta,2,1" in out.splitlines()
+    code, out, _ = run(capsys, "check-support", "--ideal", "x^30000000,y")
+    assert code == 0 and "quasi-forest connectivity criterion: PASS" in out
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize(
     "flags, name",
     [
