@@ -4,9 +4,7 @@ from .complexes import (
     SimplicialComplex,
     f_vector,
     induced_subcomplex,
-    is_connected,
     quasi_forest_order,
-    reduced_homology_ranks,
 )
 from .homology import (
     DEFAULT_LIMITS,

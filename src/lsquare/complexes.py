@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import homology as hml
-from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
+from .homology import DEFAULT_LIMITS, HomologyLimits
 
 Face = frozenset  # a face is a frozenset of vertex ids; dim(F) = len(F) - 1
 
@@ -109,24 +109,6 @@ def induced_subcomplex(delta: SimplicialComplex, keep: Iterable[int]) -> Simplic
             stacklevel=2,
         )
     return SimplicialComplex.from_facets(f & keep for f in delta.facets)
-
-
-def is_connected(delta: SimplicialComplex) -> bool:
-    """Graph connectivity of the 1-skeleton; raises on a complex with no vertices."""
-    result = hml.connected_from_members(delta.facet_masks)
-    if result is None:
-        raise ValueError("connectivity is undefined for a complex with no vertices")
-    return result
-
-
-def reduced_homology_ranks(
-    delta: SimplicialComplex,
-    field: Field = RATIONALS,
-    limits: HomologyLimits = DEFAULT_LIMITS,
-) -> dict[int, int]:
-    """Reduced homology ranks {dim: rank}; see the homology module for conventions
-    ({} for the void complex, {-1: 1} for the empty one)."""
-    return hml.ranks_from_members(delta.facet_masks, field, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ list is always such a family).  Three steps are used, cheapest first:
   (`matrix_rank`: integer rows over Q, rows reduced mod p over GF(p)), from
   the top dimension down, leaving out every column that a pivot of the map
   above already shows to be dependent (clearing: a reduced column of d_d
-  with smallest index c has zero boundary, so d(c) is a combination of the
+  with smallest key c has zero boundary, so d(c) is a combination of the
   d(s) with s > c; the full proof is in `ranks_from_face_masks`);
 * nerve reduction: when the face count would blow up but the member count is
   small, compute the homology of the nerve of the member family instead.  All
@@ -159,12 +159,12 @@ def parse_field(spec: str) -> Field:
 
 def matrix_rank(columns: list[dict[int, int]], field: Field, pivots: set[int]) -> int:
     """Rank over `field` of the matrix with the given columns, each a dict
-    {row index: nonzero integer entry}.
+    {row key: nonzero integer entry}; row keys are ordered as integers.
 
     One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves every
     field.  Each column is reduced against the stored pivots until its
-    smallest index is new, and is then stored under that index; the rank is
-    the number of pivots, and each pivot index is added to `pivots`.  With a
+    smallest key is new, and is then stored under that key; the rank is the
+    number of pivots, and each pivot key is added to `pivots`.  With a
     and b the leading entries of the pivot and the column, a column is
     reduced by row - (b/a)*pivot when a is -1 or 1, and by a*row - b*pivot
     otherwise; scaling a column by a nonzero a keeps the span, so no fraction
@@ -269,8 +269,9 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
     2011; Bauer, Kerber and Reininghaus, Clear and compress, 2014): a
     (d-1)-face that is a pivot of the reduced boundary map d_d is left out as
     a column of d_{d-1}, and the rank of d_{d-1} is the rank of the columns
-    that are kept.  Faces of each dimension are indexed in ascending mask
-    order, and `matrix_rank` pivots every reduced column on its smallest index.
+    that are kept.  Each face is its own row key, ordered by mask value, and
+    `matrix_rank` pivots every reduced column on its smallest key (the proof
+    below needs only some fixed total order on the rows).
 
     Proof that clearing keeps the rank, over Q and every GF(p) alike.
     A reduced column R of d_d with pivot c is a combination of boundaries, so
@@ -286,36 +287,27 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
     for f in faces:
         by_dim[f.bit_count() - 1].append(f)
     top = max(by_dim)
-    counts = {d: len(by_dim[d]) for d in by_dim}
-    index: dict[int, dict[int, int]] = {}
-    for d, lst in by_dim.items():
-        lst.sort()
-        index[d] = {mask: k for k, mask in enumerate(lst)}
 
     boundary_rank: dict[int, int] = {}
     cleared: set[int] = set()
     for d in range(top, -1, -1):
-        if d not in by_dim or (d - 1) not in index:
-            boundary_rank[d] = 0
-            cleared = set()
-            continue
-        rows_below = index[d - 1]
         columns = []
-        for k, mask in enumerate(by_dim[d]):
-            if k in cleared:
+        for mask in by_dim[d]:
+            if mask in cleared:
                 continue
-            col = {}
-            for pos, b in enumerate(_bits(mask)):
-                col[rows_below[mask ^ (1 << b)]] = -1 if pos & 1 else 1
+            col, sign, rest = {}, 1, mask
+            while rest:
+                low = rest & -rest
+                col[mask ^ low] = sign
+                sign, rest = -sign, rest ^ low
             columns.append(col)
         cleared = set()
         boundary_rank[d] = matrix_rank(columns, field, cleared)
 
-    ranks = {}
-    for d in range(-1, top + 1):
-        n = counts.get(d, 0)
-        ranks[d] = n - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
-    return ranks
+    return {
+        d: len(by_dim[d]) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+        for d in range(-1, top + 1)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ class LabeledComplex:
         missing = self.complex.vertices - labels.keys()
         if missing:
             raise ValueError(f"unlabeled vertices: {sorted(missing)}")
+        stray = labels.keys() - self.complex.vertices
+        if stray:
+            raise ValueError(f"labels for vertices not in the complex: {sorted(stray)}")
         for m in labels.values():
             if m.table != self.table:
                 raise ValueError("label over a different variable table")

@@ -8,13 +8,15 @@ quasi-forest references search every leaf order or test the chordal-graph
 characterization directly.
 
 Four kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
-is the package's boundary-rank pass without clearing, on the package's own
-`matrix_rank`, so a test can isolate the clearing; `forced_ranks` runs one of
-the package's two face routes on the unreduced family, so a test can compare
-the routes; `unmemoized_betti_numbers` ranks every restriction with the
-package's `ranks_from_members` and no memo, so a test can isolate the memo;
-and the small helpers at the end (`delete_vertex`, `top_label`, ...) are
-conveniences only the tests use.
+assembles every boundary map on a position table (faces of each dimension
+numbered in ascending mask order) and ranks it in full on the package's
+`matrix_rank`, so a test can isolate both the mask-keyed rows and the
+clearing; `forced_ranks` runs one of the package's two face routes on the
+unreduced family, so a test can compare the routes; `unmemoized_betti_numbers`
+ranks every restriction with the package's `ranks_from_members` and no memo,
+so a test can isolate the memo; and the small helpers at the end
+(`reduced_homology_ranks`, `is_connected`, `delete_vertex`, `top_label`, ...)
+are conveniences only the tests use.
 """
 
 from fractions import Fraction
@@ -25,6 +27,7 @@ from lsquare.homology import (
     DEFAULT_LIMITS,
     RATIONALS,
     _nerve_face_masks,
+    connected_from_members,
     enumerate_face_masks,
     matrix_rank,
     maximal_masks,
@@ -378,6 +381,20 @@ def faces_by_dim(delta):
     for lst in out.values():
         lst.sort(key=lambda f: tuple(sorted(f)))
     return out
+
+
+def reduced_homology_ranks(delta, field=RATIONALS, limits=DEFAULT_LIMITS):
+    """The package's reduced homology ranks of a complex, read off its facet
+    masks ({} for the void complex, {-1: 1} for the empty one)."""
+    return ranks_from_members(delta.facet_masks, field, limits)
+
+
+def is_connected(delta):
+    """The package's connectivity of a complex; raises on one with no vertices."""
+    result = connected_from_members(delta.facet_masks)
+    if result is None:
+        raise ValueError("connectivity is undefined for a complex with no vertices")
+    return result
 
 
 def delete_vertex(delta, v):

@@ -380,6 +380,8 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
         ({"facets": [[0.7, 1.9]], "labels": labels}, "'facets'"),
         ({"facets": [[0, 1.5]], "labels": labels}, "'facets'"),
         ({"facets": [[0, 1]], "vertices": [0.5], "labels": labels}, "'vertices'"),
+        # a label for a vertex in no facet, though the labels are the generators
+        ({"facets": [[0]], "labels": labels}, "vertices not in the complex: [1]"),
     ]
     path = tmp_path / "complex.json"
     for obj, key in shapes:
@@ -388,6 +390,11 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
         code, out, err = run(capsys, command, "--complex", str(path), *ideal)
         assert code == 1 and out == "", obj
         assert err.startswith("error: ") and key in err, obj
+    path.write_text(json.dumps({"facets": [[0], [2]], "labels": {**labels, "2": "z"}}))
+    ideal = ["x,y,z"] if command == "betti" else ["--ideal", "x,y,z"]
+    code, out, err = run(capsys, command, "--complex", str(path), *ideal)
+    assert code == 1 and out == ""
+    assert err == "error: labels for vertices not in the complex: [1]\n"
 
 
 def test_resource_cap_exit_three(capsys):

@@ -10,9 +10,7 @@ from lsquare.complexes import (
     complex_to_json,
     f_vector,
     induced_subcomplex,
-    is_connected,
     quasi_forest_order,
-    reduced_homology_ranks,
     verify_leaf_order,
 )
 from lsquare.homology import HomologyLimits, ResourceLimit
@@ -26,7 +24,9 @@ from oracles import (
     enumerated_f_vector,
     faces_by_dim,
     is_chordal_clique_complex,
+    is_connected,
     leaf_by_definition,
+    reduced_homology_ranks,
 )
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets([{1, 2}, {2, 3}, {1, 3}])

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lsquare.complexes import SimplicialComplex, reduced_homology_ranks
+from lsquare.complexes import SimplicialComplex
 from lsquare.homology import (
     HomologyLimits,
     PrimeField,
@@ -29,6 +29,7 @@ from oracles import (
     dense_rank,
     forced_ranks,
     plain_ranks_from_face_masks,
+    reduced_homology_ranks,
 )
 
 
@@ -185,6 +186,44 @@ def test_cleared_ranks_equal_plain_ranks_and_the_oracle(members):
         assert ranks_from_face_masks(nerve, field) == plain_ranks_from_face_masks(
             nerve, field
         )
+
+
+@given(member_families)
+@settings(max_examples=100, deadline=None)
+def test_clearing_pivots_are_the_echelon_leads_of_the_full_map(members):
+    # rows are keyed by face masks: the pivots matrix_rank reports for the
+    # kept columns of d_d are the faces at the echelon leads of all of d_d,
+    # rows in ascending mask order, so each pivot is the smallest key that
+    # the clearing proof needs
+    import lsquare.homology as hml
+
+    faces = enumerate_face_masks(members, 1 << 12)
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    for lst in by_dim.values():
+        lst.sort()
+    top = max(by_dim, default=-1)
+    for field, p in ((RATIONALS, None), (PrimeField(3), 3)):
+        reported = []
+
+        def spy(columns, field, pivots):
+            rank = matrix_rank(columns, field, pivots)
+            reported.append(set(pivots))
+            return rank
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hml, "matrix_rank", spy)
+            ranks_from_face_masks(faces, field)
+        assert len(reported) == top + 1
+        for d, pivots in zip(range(top, -1, -1), reported):
+            rows = by_dim[d - 1]
+            dense = [[0] * len(rows) for _ in by_dim[d]]
+            for j, mask in enumerate(by_dim[d]):
+                bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+                for pos, b in enumerate(bits):
+                    dense[j][rows.index(mask ^ (1 << b))] = (-1) ** pos
+            assert pivots == {rows[k] for k in dense_pivot_columns(dense, p)}
 
 
 def test_clearing_goes_through_matrix_rank_for_every_dimension(monkeypatch):

@@ -31,6 +31,7 @@ from lsquare.randoms import sample_ideal
 from oracles import (
     betti_upper_bounds,
     brute_faces,
+    is_connected,
     restrict_divides,
     restrict_strict,
     top_label,
@@ -68,8 +69,10 @@ def figure_complex():
 
 def test_labeled_complex_validates_labels():
     delta = SimplicialComplex.from_facets([{0, 1}])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unlabeled vertices"):
         LabeledComplex(delta, {0: mono("x")}, XYZ)
+    with pytest.raises(ValueError, match=r"not in the complex: \[2\]"):
+        LabeledComplex(delta, {0: mono("x"), 1: mono("y"), 2: mono("z")}, XYZ)
 
 
 def test_face_label_is_lcm():
@@ -208,8 +211,6 @@ def test_support_quasitree_examples():
     report = supports_resolution_quasitree(path, three)
     assert not report.supported
     assert format_monomial(report.witness) in {"xz", "yz"}
-    from lsquare.complexes import is_connected
-
     bad = restrict_divides(path, report.witness)
     assert bad.complex.vertices and not is_connected(bad.complex)
 

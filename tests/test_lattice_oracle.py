@@ -9,10 +9,12 @@ oracle, so agreement pins both the formula and its implementation.
 
 import random
 
-from lsquare.complexes import SimplicialComplex, reduced_homology_ranks
+from lsquare.complexes import SimplicialComplex
 from lsquare.labeled import betti_numbers, taylor_complex
 from lsquare.monomials import lcm_lattice, parse_ideal
 from lsquare.randoms import sample_ideal
+
+from oracles import reduced_homology_ranks
 
 
 def order_complex_graded_betti(ideal):
