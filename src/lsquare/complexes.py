@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from . import homology as hml
@@ -85,13 +86,17 @@ def f_vector(
     with c_S the number of vertices common to S: a nonempty face lying in
     exactly a >= 1 facets is counted sum_{j=1..a} (-1)^(j+1) C(a, j) = 1 time.
     A subfamily with no common vertex adds C(0, k+1) = 0, so only the faces of
-    the nerve of the facets are walked (`homology.nerve_walk`, under the face
-    cap).  The void and the empty complex have no facet subfamily with a
-    common vertex, so both count ().
+    the nerve of the facets are listed, as the faces of the transposed facet
+    family (`homology._transpose`, under the face cap); a face's common
+    vertices are the AND of its facets.  The void and the empty complex have
+    no facet subfamily with a common vertex, so both count ().
     """
+    facets = delta.facet_masks
+    nerve = hml.maximal_masks(hml._transpose(facets))
     counts = [0] * (delta.dim + 1)
-    for fmask, common in hml.nerve_walk(list(delta.facet_masks), limits.max_faces):
+    for fmask in hml.enumerate_face_masks(nerve, limits.max_faces) - {0}:
         sign = 1 if fmask.bit_count() & 1 else -1
+        common = reduce(and_, (f for j, f in enumerate(facets) if fmask >> j & 1))
         size = common.bit_count()
         for k in range(size):
             counts[k] += sign * comb(size, k + 1)
@@ -216,7 +221,7 @@ def _entry(obj: Mapping, key: str, read, default=None):
 
 def complex_from_json(obj: Mapping) -> tuple[SimplicialComplex, dict[int, str] | None]:
     """The complex and its labels, if given; a declared vertex in no facet
-    is isolated, a singleton facet."""
+    is isolated, a singleton facet, and label keys naming one vertex clash."""
     if not isinstance(obj, Mapping) or obj.get("facets") is None:
         raise ValueError("complex JSON must be an object with a 'facets' entry")
     facets = _entry(obj, "facets", lambda fs: [frozenset(map(_vertex_id, f)) for f in fs])
@@ -224,4 +229,8 @@ def complex_from_json(obj: Mapping) -> tuple[SimplicialComplex, dict[int, str] |
         obj, "vertices", lambda vs: [frozenset([_vertex_id(v)]) for v in vs], []
     )
     labels = _entry(obj, "labels", lambda raw: {int(k): str(v) for k, v in raw.items()})
+    if labels is not None and len(labels) < len(obj["labels"]):
+        ids = [int(k) for k in obj["labels"]]
+        clash = [k for k, v in zip(obj["labels"], ids) if ids.count(v) > 1]
+        raise ValueError(f"complex JSON label keys {clash} name one vertex")
     return SimplicialComplex.from_facets(facets + points), labels

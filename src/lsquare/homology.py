@@ -2,30 +2,30 @@
 
 The engine works on bitmasks: a complex is handed over as a list of "member"
 masks, each the vertex set of a simplex, whose union is the complex (the facet
-list is always such a family).  Three steps are used, cheapest first:
+list is always such a family).  Two steps are used, cheapest first:
 
 * strong-collapse core: dominated vertices are deleted until none is left
   (a vertex common to all members, a cone, is the one-step case); a core that
-  is a single simplex is acyclic, and anything else goes on to the routes
-  below with fewer faces and fewer members;
-* face enumeration: list every face, build sparse boundary matrices, and take
-  exact ranks with one fraction-free elimination for every field
-  (`matrix_rank`: integer rows over Q, rows reduced mod p over GF(p)), from
-  the top dimension down, leaving out every column that a pivot of the map
-  above already shows to be dependent (clearing: a reduced column of d_d
-  with smallest key c has zero boundary, so d(c) is a combination of the
-  d(s) with s > c; the full proof is in `ranks_from_face_masks`);
-* nerve reduction: when the face count would blow up but the member count is
-  small, compute the homology of the nerve of the member family instead.  All
-  nonempty intersections of simplexes on vertex subsets are simplexes, hence
-  contractible, so the nerve has the same reduced homology.
+  is a single simplex is acyclic;
+* face enumeration of the core or of its transposed family (`_transpose`),
+  whose faces form the nerve of the core, whichever has the smaller
+  face-count estimate.  All nonempty intersections of simplexes on vertex
+  subsets are simplexes, hence contractible, so the nerve has the same
+  reduced homology.  The faces get sparse boundary matrices and exact ranks
+  with one fraction-free elimination for every field (`matrix_rank`: integer
+  rows over Q, rows reduced mod p over GF(p)), from the top dimension down,
+  leaving out every column that a pivot of the map above already shows to be
+  dependent (clearing: a reduced column of d_d with smallest key c has zero
+  boundary, so d(c) is a combination of the d(s) with s > c; the full proof
+  is in `ranks_from_face_masks`).
 
 Connectivity lists no faces either: each nonzero member is a simplex, so the
 union is connected iff the members' intersection graph is, and
 `connected_from_members` grows one component by OR-ing in every member mask
 that meets it (the proof is in its docstring).
 
-A core is ranked with its vertices renumbered 0..k-1 in increasing order.  The
+A core is ranked with its vertices renumbered 0..k-1 in increasing order,
+which is the transpose of its transpose (the proof is in `_transpose`).  The
 renumbering maps faces to faces and keeps the order of every face's vertices,
 so the boundary matrices of two cores that renumber alike are equal entry for
 entry, signs included, and so are their ranks over every field.  A caller
@@ -230,35 +230,20 @@ def estimated_face_count(members: list[int]) -> int:
 def enumerate_face_masks(members: list[int], max_faces: int) -> set[int]:
     """All submasks of all members (the faces of the union complex), deduplicated."""
     estimate = estimated_face_count(members)
+    cap = ("max-faces", estimate, max_faces)
     if estimate > 64 * max_faces:
-        raise ResourceLimit(
-            "face enumeration would exceed the face cap", "max-faces", estimate, max_faces
-        )
+        raise ResourceLimit("face enumeration would exceed the face cap", *cap)
     faces: set[int] = set()
     for m in members:
         sub = m
         while True:
             faces.add(sub)
             if len(faces) > max_faces:
-                raise ResourceLimit(
-                    "face enumeration exceeded the face cap",
-                    "max-faces",
-                    estimate,
-                    max_faces,
-                )
+                raise ResourceLimit("face enumeration exceeded the face cap", *cap)
             if sub == 0:
                 break
             sub = (sub - 1) & m
     return faces
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
@@ -333,43 +318,34 @@ def maximal_masks(members) -> list[int]:
     return keep
 
 
-def nerve_walk(members: list[int], max_faces: int):
-    """Yield (index mask, common vertices) for every nonempty nerve face.
+def _transpose(members) -> list[int]:
+    """For each vertex of the union, in increasing order, the mask of the
+    members that hold it (bit j for `members[j]`).
 
-    A subfamily of the members is a nerve face when its members share a
-    vertex; the family is downward closed, so faces are grown level by level
-    from their prefix with the top index removed (the singletons make the
-    first level whatever their members).  More than `max_faces` nerve faces,
-    counting the empty one, raise before the level that overruns is finished.
+    The nerve.  Write T_v for the mask of the members holding vertex v.  A
+    subfamily S of the members has a common vertex v exactly when every
+    member of S holds v, that is when S is a submask of T_v.  So the nerve of
+    the family (its subfamilies with a common vertex, and the empty one) is
+    the union of the simplexes on the T_v: its faces are the submasks of
+    `maximal_masks(_transpose(members))`, the empty face included, and
+    `enumerate_face_masks` lists them.
+
+    The renumbering.  Row j of the transpose belongs to vertex j of the union,
+    counted in increasing order.  Transposing again lists each nonzero member,
+    in order, as the mask of the rows j whose vertex it holds.  That is the
+    member with its vertices renumbered 0..k-1 in increasing order.
     """
-    k = len(members)
-
-    def over() -> ResourceLimit:
-        return ResourceLimit(
-            "nerve enumeration exceeded the face cap", "max-faces", 1 << k, max_faces
-        )
-
-    level = {1 << i: m for i, m in enumerate(members)}
-    count = 1 + len(level)
-    if count > max_faces:
-        raise over()
-    while level:
-        yield from level.items()
-        nxt = {}
-        for fmask, inter in level.items():
-            for j in range(fmask.bit_length(), k):
-                inter2 = inter & members[j]
-                if inter2:
-                    nxt[fmask | (1 << j)] = inter2
-            if count + len(nxt) > max_faces:
-                raise over()
-        count += len(nxt)
-        level = nxt
-
-
-def _nerve_face_masks(members: list[int], max_faces: int) -> set[int]:
-    """Faces of the nerve of the member family, as index masks over members."""
-    return {0, *(fmask for fmask, _ in nerve_walk(members, max_faces))}
+    out = []
+    rest = reduce(or_, members, 0)
+    while rest:
+        low = rest & -rest
+        row = 0
+        for j, m in enumerate(members):
+            if m & low:
+                row |= 1 << j
+        out.append(row)
+        rest ^= low
+    return out
 
 
 def strong_core(members: list[int]) -> list[int]:
@@ -422,21 +398,6 @@ def strong_core(members: list[int]) -> list[int]:
         live = maximal_masks([m & ~dead for m in live])
 
 
-def _relabelled(members: list[int]) -> tuple[int, ...]:
-    """The members with their vertices renumbered 0..k-1 in increasing order."""
-    union = 0
-    for m in members:
-        union |= m
-    new = {b: 1 << k for k, b in enumerate(_bits(union))}
-    out = []
-    for m in members:
-        c = 0
-        for b in _bits(m):
-            c |= new[b]
-        out.append(c)
-    return tuple(out)
-
-
 def ranks_from_members(
     members,
     field: Field = RATIONALS,
@@ -447,10 +408,12 @@ def ranks_from_members(
 
     The family is first shrunk to its `strong_core`, which has the same reduced
     homology; a core that is one simplex is acyclic.  The core's vertices are
-    renumbered 0..k-1 in increasing order; the renumbered core is enumerated
-    when its face-count estimate fits the budget, and handed to the nerve
-    reduction otherwise.  Keys run from -1 to the dimension of the whole
-    complex.
+    renumbered 0..k-1 in increasing order, and whichever of the core and its
+    transposed family (its nerve) has the smaller face-count estimate is
+    enumerated, the core on a tie.  The core is always enumerated when its
+    estimate is at most `limits.enumeration_budget` or it has more than
+    `limits.max_nerve_members` members.  Keys run from -1 to the dimension of
+    the whole complex.
 
     `memo`, when given, maps renumbered cores to the ranks of their faces, and
     a core found in it is not ranked again.  A caller keeps one memo for one
@@ -468,22 +431,18 @@ def ranks_from_members(
     live = strong_core(live)
     if len(live) == 1:
         return out
-    if memo is None:
-        memo = {}
-    core = _relabelled(live)
+    memo = {} if memo is None else memo
+    rows = _transpose(live)
+    core = tuple(_transpose(rows))
     ranks = memo.get(core)
     if ranks is None:
-        live = list(core)
-        # route by size estimates: faces of the union vs faces of its nerve
-        est_enum = estimated_face_count(live)
-        if (
-            est_enum <= limits.enumeration_budget
-            or est_enum <= 1 << len(live)
-            or len(live) > limits.max_nerve_members
-        ):
-            faces = enumerate_face_masks(live, limits.max_faces)
-        else:
-            faces = _nerve_face_masks(live, limits.max_faces)
+        family = list(core)
+        est = estimated_face_count(family)
+        if est > limits.enumeration_budget and len(family) <= limits.max_nerve_members:
+            nerve = maximal_masks(rows)
+            if estimated_face_count(nerve) < est:
+                family = nerve
+        faces = enumerate_face_masks(family, limits.max_faces)
         ranks = memo[core] = ranks_from_face_masks(faces, field)
     for d, r in ranks.items():
         if d <= dim:

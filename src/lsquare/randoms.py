@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from math import comb
 
 from . import complexes as cx
@@ -50,31 +51,39 @@ def _table(n: int) -> VariableTable:
 
 def random_squarefree_ideal(rng: random.Random, n: int, q: int) -> MonomialIdeal | None:
     """q uniform nonempty variable subsets, redrawn until they form a minimal
-    set; None after 5000 draws."""
+    set (tested on bitmasks before any monomial is built); None after 5000."""
     table = _table(n)
     for _ in range(5000):
-        gens = []
+        rows = []
         for _ in range(q):
             exps = [rng.randint(0, 1) for _ in range(n)]
             if not any(exps):
                 exps[rng.randrange(n)] = 1
-            gens.append(Monomial(table, tuple(exps)))
-        ideal = MonomialIdeal.minimal(gens)
-        if ideal.q == q:
-            return ideal
+            rows.append(exps)
+        masks = [sum(e << k for k, e in enumerate(exps)) for exps in rows]
+        if all(a & b not in (a, b) for a, b in combinations(masks, 2)):
+            return MonomialIdeal.minimal([Monomial(table, tuple(e)) for e in rows])
     return None
 
 
 def sample_ideal(rng: random.Random, max_n: int, max_q: int) -> MonomialIdeal:
     """A random square-free ideal: q from 1..min(max_q, C(max_n, max_n // 2)),
     the most pairwise-incomparable subsets of max_n variables, then n from
-    the least that hold q up to max_n."""
-    while True:
+    the least that hold q up to max_n; both are drawn again while
+    `random_squarefree_ideal` fails, and 250 000 subsets drawn in vain (random
+    draws fill only a q well below the cap) are a ValueError naming --max-q."""
+    drawn = 0
+    while drawn < 250_000:
         q = rng.randint(1, min(max_q, comb(max_n, max_n // 2)))
         n = rng.randint(_min_n_for(q), max_n)
         ideal = random_squarefree_ideal(rng, n, q)
         if ideal is not None:
             return ideal
+        drawn += 5000 * q
+    raise ValueError(
+        f"no minimal set of q generators came out of {drawn} random subsets "
+        f"(last q = {q}, n = {n}); lower --max-q"
+    )
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Everything here is deliberately naive and shares no code with the package
 beyond its value types: faces come from itertools over explicit vertex tuples,
 matrices are dense lists, ranks are computed with Fraction (or mod-p) Gaussian
-elimination, restrictions filter explicit faces by their labels, and the
-quasi-forest references search every leaf order or test the chordal-graph
-characterization directly.
+elimination, restrictions filter explicit faces by their labels, the nerve is
+grown level by level over shared vertices, renumbering maps vertices one at a
+time, and the quasi-forest references search every leaf order or test the
+chordal-graph characterization directly.
 
 Four kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
 assembles every boundary map on a position table (faces of each dimension
@@ -26,7 +27,7 @@ from lsquare.complexes import SimplicialComplex, induced_subcomplex
 from lsquare.homology import (
     DEFAULT_LIMITS,
     RATIONALS,
-    _nerve_face_masks,
+    _transpose,
     connected_from_members,
     enumerate_face_masks,
     matrix_rank,
@@ -160,25 +161,63 @@ def plain_ranks_from_face_masks(faces, field):
 
 def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
     """Reduced homology ranks of the union of simplexes on the vertex masks,
-    by one route ("enumerate" or "nerve") of the package, on the unreduced
-    family: no strong-collapse core and no routing.  Keys are padded from -1
-    to the dimension of the complex, as `ranks_from_members` pads them, and the
-    walk runs under the same face cap."""
+    by one route of the package, on the unreduced family: no strong-collapse
+    core and no routing.  "enumerate" lists the faces of the family, and
+    "nerve" those of its transposed family, which are the nerve's.  Keys are
+    padded from -1 to the dimension of the complex, as `ranks_from_members`
+    pads them, and the enumeration runs under the same face cap."""
     members = list(members)
     if not members:
         return {}
     live = maximal_masks(members)
     if not live:
         return {-1: 1}
-    walk = {"enumerate": enumerate_face_masks, "nerve": _nerve_face_masks}[route]
     dim = max(m.bit_count() for m in live) - 1
     out = {d: 0 for d in range(-1, dim + 1)}
-    for d, r in ranks_from_face_masks(walk(live, limits.max_faces), field).items():
+    family = maximal_masks(_transpose(live)) if route == "nerve" else live
+    faces = enumerate_face_masks(family, limits.max_faces)
+    for d, r in ranks_from_face_masks(faces, field).items():
         if d <= dim:
             out[d] = r
         elif r:
             raise AssertionError("homology above the complex dimension")
     return out
+
+
+def level_nerve_faces(members):
+    """Faces of the nerve of the member family, as index masks over members,
+    the empty face included: the subfamilies whose members share a vertex,
+    grown level by level from their prefix with the top index removed."""
+    k = len(members)
+    faces = {0}
+    level = {1 << i: m for i, m in enumerate(members)}
+    while level:
+        faces.update(level)
+        nxt = {}
+        for fmask, inter in level.items():
+            for j in range(fmask.bit_length(), k):
+                inter2 = inter & members[j]
+                if inter2:
+                    nxt[fmask | (1 << j)] = inter2
+        level = nxt
+    return faces
+
+
+def relabelled(members):
+    """The members with their vertices renumbered 0..k-1 in increasing order."""
+    union = 0
+    for m in members:
+        union |= m
+    bits = [b for b in range(union.bit_length()) if union >> b & 1]
+    new = {b: 1 << k for k, b in enumerate(bits)}
+    out = []
+    for m in members:
+        c = 0
+        for b in bits:
+            if m >> b & 1:
+                c |= new[b]
+        out.append(c)
+    return tuple(out)
 
 
 def unmemoized_betti_numbers(lab, ideal, field=RATIONALS):

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsquare import complexes
 from lsquare.cli import main
@@ -397,6 +401,19 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
     assert err == "error: labels for vertices not in the complex: [1]\n"
 
 
+@pytest.mark.parametrize("command", ["betti", "check-support"])
+def test_label_keys_that_name_one_vertex_are_an_error(tmp_path, capsys, command):
+    # "0" and "00" both read as vertex 0; keeping the last key dropped the x
+    # label and printed the Betti table of another ideal
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps({"facets": [[0]], "labels": {"0": "x", "00": "y"}}))
+    ideal = ["y"] if command == "betti" else ["--ideal", "y"]
+    code, out, err = run(capsys, command, "--complex", str(path), *ideal)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "'0'" in err and "'00'" in err
+
+
 def test_resource_cap_exit_three(capsys):
     code, _, err = run(capsys, "bounds", "a,b,c,d,e,f,g,h")
     assert code == 3
@@ -552,8 +569,19 @@ def test_verify_counts_faces_of_a_q8_complex_without_listing_them(capsys):
     assert "summary: 10/10 instances passed" in out
 
 
+def test_verify_ends_when_max_q_is_too_large_to_draw():
+    # q near C(8, 4) = 70 never comes out of random draws; the redraws once
+    # ran without end, 5000 draws per round
+    code, out, err = run_bounded(
+        "verify", "--max-n", "8", "--max-q", "70", "--count", "1", "--no-fixture",
+        seconds=10,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--max-q" in err and "Traceback" not in err
+
+
 def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
-    # the face count walks the nerve of the facets; 40 edges on one apex give
+    # the face count lists the nerve of the facets; 40 edges on one apex give
     # a nerve of 2^40 faces, which must end in exit 3, not a hang
     fan = complexes.SimplicialComplex.from_facets([{0, v} for v in range(1, 41)])
     count = complexes.f_vector
@@ -562,7 +590,7 @@ def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
         capsys, "verify", "--seed", "1", "--count", "1", "--max-faces", "100000"
     )
     assert code == 3 and out == ""
-    assert "nerve enumeration exceeded the face cap" in err
+    assert "face enumeration would exceed the face cap" in err
     assert err.rstrip().endswith("raise --max-faces")
 
 
@@ -584,3 +612,61 @@ def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (DATA / name).read_text()
+
+
+# JSON values of every kind, nested a little, and objects shaped almost like a
+# complex file: facets of small ids, id strings and floats, and labels keyed by
+# short id strings
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+vertex_ids = st.integers(-2, 6) | st.text("0123456789", max_size=2) | st.floats(-1, 7)
+complex_objects = st.fixed_dictionaries(
+    {"facets": st.lists(st.lists(vertex_ids, max_size=4), max_size=4)},
+    optional={
+        "vertices": st.lists(vertex_ids, max_size=3) | json_values,
+        "labels": st.dictionaries(
+            st.text("0123456789-", max_size=2),
+            st.text("xyz^2", max_size=4) | json_values,
+            max_size=4,
+        ),
+    },
+)
+complex_files = (
+    (json_values | complex_objects).map(lambda obj: json.dumps(obj).encode())
+    | st.text(max_size=20).map(str.encode)
+    | st.binary(max_size=20)
+)
+ideal_texts = st.text("xyz^0123456789,-+* ()", max_size=12)
+
+
+def run_quietly(argv):
+    """`main` in process with its output captured; an argparse exit is its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(complex_files, ideal_texts, st.sampled_from(["betti", "check-support"]))
+@settings(max_examples=150, deadline=3000)
+def test_hostile_complex_files_and_ideals_end_cleanly(data, ideal, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.json"
+        path.write_bytes(data)
+        for argv in (
+            [command, "--complex", str(path)],
+            ["betti", "--power", "2"],
+            ["bounds"],
+            ["power"],
+        ):
+            argv = argv + (["--ideal", ideal] if argv[0] == "check-support" else [ideal])
+            code, _, err = run_quietly(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv

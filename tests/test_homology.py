@@ -11,7 +11,7 @@ from lsquare.homology import (
     RATIONALS,
     ResourceLimit,
     _is_prime,
-    _nerve_face_masks,
+    _transpose,
     connected_from_members,
     enumerate_face_masks,
     matrix_rank,
@@ -28,8 +28,10 @@ from oracles import (
     dense_pivot_columns,
     dense_rank,
     forced_ranks,
+    level_nerve_faces,
     plain_ranks_from_face_masks,
     reduced_homology_ranks,
+    relabelled,
 )
 
 
@@ -178,7 +180,7 @@ def test_cleared_ranks_equal_plain_ranks_and_the_oracle(members):
     facets = [tuple(b for b in range(9) if m >> b & 1) for m in members]
     faces = enumerate_face_masks(members, 1 << 12)
     live = maximal_masks(members)
-    nerve = _nerve_face_masks(live, 1 << 12) if live else set()
+    nerve = enumerate_face_masks(maximal_masks(_transpose(live)), 1 << 12)
     for field, p in ((RATIONALS, None), (PrimeField(2), 2), (PrimeField(3), 3)):
         want = brute_reduced_homology(facets, p=p)
         assert ranks_from_face_masks(faces, field) == want
@@ -186,6 +188,21 @@ def test_cleared_ranks_equal_plain_ranks_and_the_oracle(members):
         assert ranks_from_face_masks(nerve, field) == plain_ranks_from_face_masks(
             nerve, field
         )
+
+
+@given(member_families)
+@settings(max_examples=100, deadline=None)
+def test_transposed_family_lists_the_nerve(members):
+    live = maximal_masks(members)
+    nerve = enumerate_face_masks(maximal_masks(_transpose(live)), 1 << 12)
+    assert nerve == (level_nerve_faces(live) if live else set())
+
+
+@given(member_families)
+@settings(max_examples=100, deadline=None)
+def test_double_transpose_renumbers_the_vertices(members):
+    live = maximal_masks(members)
+    assert tuple(_transpose(_transpose(live))) == relabelled(live)
 
 
 @given(member_families)
@@ -344,10 +361,11 @@ def test_nerve_fallback_reports_the_face_cap():
         ranks_from_members(members, RATIONALS, tight)
     assert err.value.cap == "max-faces"
     assert (err.value.estimate, err.value.limit) == (192, 20)
-    # the nerve's own face cap reports the 2^6 subfamilies as its estimate
+    # the nerve is enumerated as the transposed family, here the same
+    # boundary, so its face cap reports that family's 6 * 2^5 estimate
     with pytest.raises(ResourceLimit) as err:
         forced_ranks(members, "nerve", RATIONALS, HomologyLimits(max_faces=3))
-    assert (err.value.cap, err.value.estimate, err.value.limit) == ("max-faces", 64, 3)
+    assert (err.value.cap, err.value.estimate, err.value.limit) == ("max-faces", 192, 3)
 
 
 def test_homology_respects_face_cap():
