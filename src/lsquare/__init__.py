@@ -23,7 +23,6 @@ from .l2 import (
     deletion_face_bound,
     l2_of_ideal,
     l2_skeleton,
-    pair_index,
     pairs_of,
     skeleton_face_bound,
     taylor_face_bound,

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import comb
-from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from . import homology as hml
@@ -87,17 +86,20 @@ def f_vector(
     exactly a >= 1 facets is counted sum_{j=1..a} (-1)^(j+1) C(a, j) = 1 time.
     A subfamily with no common vertex adds C(0, k+1) = 0, so only the faces of
     the nerve of the facets are listed, as the faces of the transposed facet
-    family (`homology._transpose`, under the face cap); a face's common
-    vertices are the AND of its facets.  The void and the empty complex have
-    no facet subfamily with a common vertex, so both count ().
+    family (`homology._transpose`, under the face cap), in increasing mask
+    order: a face's common vertices are those of the face without its lowest
+    facet, met before it, ANDed with that facet.  The void and the empty
+    complex have no facet subfamily with a common vertex, so both count ().
     """
     facets = delta.facet_masks
     nerve = hml.maximal_masks(hml._transpose(facets))
     counts = [0] * (delta.dim + 1)
-    for fmask in hml.enumerate_face_masks(nerve, limits.max_faces) - {0}:
+    common = {0: -1}  # every vertex is common to the empty subfamily
+    for fmask in sorted(hml.enumerate_face_masks(nerve, limits.max_faces) - {0}):
         sign = 1 if fmask.bit_count() & 1 else -1
-        common = reduce(and_, (f for j, f in enumerate(facets) if fmask >> j & 1))
-        size = common.bit_count()
+        low = fmask & -fmask
+        common[fmask] = common[fmask ^ low] & facets[low.bit_length() - 1]
+        size = common[fmask].bit_count()
         for k in range(size):
             counts[k] += sign * comb(size, k + 1)
     return tuple(counts)

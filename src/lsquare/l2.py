@@ -1,12 +1,13 @@
 """The pair complexes L2_q and L2(I), deletion bookkeeping, and face-count bounds.
 
-L2_q lives on the vertex set of index pairs (i, j) with 1 <= i <= j <= q.  Its
-facets are one "row" per index i (all pairs containing i) plus the set of all
-off-diagonal pairs; for q <= 2 the off-diagonal set is swallowed by the rows.
-Labeling pair (i, j) of L2_q with the product of generators i and j of a
-square-free ideal I, and deleting every vertex whose product is a redundant
-generator of the square, produces the induced subcomplex L2(I) whose surviving
-labels are exactly the minimal generators of I^2.
+L2_q lives on the index pairs (i, j) with 1 <= i <= j <= q, each named by its
+position in `pairs_of(q)` throughout.  Its facets are one "row" per index i
+(all pairs containing i) plus the set of all off-diagonal pairs; for q <= 2
+the off-diagonal set is swallowed by the rows.  Labeling pair (i, j) of L2_q
+with the product of generators i and j of a square-free ideal I, and deleting
+every vertex whose product is a redundant generator of the square, produces
+the induced subcomplex L2(I) whose surviving labels are exactly the minimal
+generators of I^2.
 """
 
 from __future__ import annotations
@@ -57,33 +58,19 @@ def pairs_of(q: int) -> list[PairVertex]:
     return [PairVertex(i, j) for i in range(1, q + 1) for j in range(i, q + 1)]
 
 
-def pair_index(q: int, i: int, j: int) -> int:
-    if not (1 <= i <= j <= q):
-        i, j = min(i, j), max(i, j)
-    if not (1 <= i <= j <= q):
-        raise ValueError(f"pair ({i},{j}) out of range for q={q}")
-    # pairs (1,1)..(1,q) come first, then (2,2)..(2,q), etc.
-    return (i - 1) * q - (i - 1) * (i - 2) // 2 + (j - i)
-
-
 def l2_skeleton(q: int) -> SimplicialComplex:
-    """The pair complex on C(q+1,2) vertices: q row facets plus the off-diagonal facet."""
+    """The pair complex on the ids of `pairs_of(q)`: q rows plus the off-diagonal facet."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    candidates = []
-    for i in range(1, q + 1):
-        candidates.append(
-            frozenset(pair_index(q, i, j) for j in range(1, q + 1))
-        )
-    candidates.append(
-        frozenset(
-            pair_index(q, i, j)
-            for i in range(1, q + 1)
-            for j in range(i + 1, q + 1)
-        )
-    )
+    rows: list[set[int]] = [set() for _ in range(q)]
+    off_diagonal: set[int] = set()
+    for k, v in enumerate(pairs_of(q)):
+        rows[v.i - 1].add(k)
+        rows[v.j - 1].add(k)
+        if not v.is_diagonal:
+            off_diagonal.add(k)
     # for q <= 2 the off-diagonal set is a face of a row, not a facet
-    return SimplicialComplex.from_facets(c for c in candidates if c)
+    return SimplicialComplex.from_facets(c for c in [*rows, off_diagonal] if c)
 
 
 @dataclass(frozen=True)
@@ -122,36 +109,35 @@ class DeletionRecord:
         }
 
 
-def _deletion_scan(products: dict[tuple[int, int], Monomial]) -> set[tuple[int, int]]:
-    """Redundant pairs of a pair-product table {(i, j): g_i * g_j}.
+def _deletion_scan(products: list[Monomial]) -> set[int]:
+    """Positions of the redundant pairs, given the pair products in `pairs_of` order.
 
-    For index pairs {i,j} != {u,v}: if the products are equal, the pair holding
-    the smallest of the four indices is deleted (that is the lexicographically
-    smaller pair); if one product properly divides the other, the pair with the
-    larger product is deleted.
+    Of two equal products the smaller position, whose pair is the
+    lexicographically smaller, is deleted; if one product properly divides
+    the other, the position with the larger product is deleted.
     """
-    deleted: set[tuple[int, int]] = set()
-    for (P, p), (Q, r) in itertools.combinations(products.items(), 2):
+    deleted: set[int] = set()
+    for (a, p), (b, r) in itertools.combinations(enumerate(products), 2):
         if p == r:
-            deleted.add(min(P, Q))
+            deleted.add(a)
         elif p.divides(r):
-            deleted.add(Q)
+            deleted.add(b)
         elif r.divides(p):
-            deleted.add(P)
+            deleted.add(a)
     return deleted
 
 
 def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     """The labeled induced subcomplex of the skeleton specialized to a square-free ideal.
 
-    Each pair product g_i * g_j is computed once, into one table: vertex
-    (i, j) is labeled from it, and the vertices whose product is a redundant
-    generator of the square are deleted after one scan over it.  No diagonal
-    pair is ever deleted (asserted here).  By the paper's lemma the surviving
-    labels are exactly the minimal generators of I^2; the square itself is not
-    built here.  Every support criterion and `betti_numbers` check the labels
-    against the caller's square, and `verify` reports the comparison as
-    `labels-match-square`.
+    Each pair product g_i * g_j is computed once, into one list in the order
+    of `pairs_of(q)`, whose positions are the vertex ids: vertex k is labeled
+    from products[k], and the redundant ones are deleted after one scan over
+    the list.  No diagonal pair is ever deleted (asserted here).  By the
+    paper's lemma the surviving labels are exactly the minimal generators of
+    I^2; the square itself is not built here.  Every support criterion and
+    `betti_numbers` check the labels against the caller's square, and
+    `verify` reports the comparison as `labels-match-square`.
     """
     for g in ideal.gens:
         if not g.is_squarefree():
@@ -159,18 +145,15 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     q = ideal.q
     pairs = pairs_of(q)
     gens = ideal.gens
-    products = {(v.i, v.j): gens[v.i - 1] * gens[v.j - 1] for v in pairs}
-    deleted_pairs = _deletion_scan(products)
-    for i, j in deleted_pairs:
-        if i == j:
-            raise AssertionError("a diagonal product compared equal or divisible")
-    record = DeletionRecord(q, frozenset(PairVertex(i, j) for i, j in deleted_pairs))
+    products = [gens[v.i - 1] * gens[v.j - 1] for v in pairs]
+    deleted = _deletion_scan(products)
+    if any(pairs[k].is_diagonal for k in deleted):
+        raise AssertionError("a diagonal product compared equal or divisible")
+    record = DeletionRecord(q, frozenset(pairs[k] for k in deleted))
 
-    survivors = {
-        k for k, v in enumerate(pairs) if (v.i, v.j) not in deleted_pairs
-    }
+    survivors = [k for k in range(len(pairs)) if k not in deleted]
     sub = induced_subcomplex(l2_skeleton(q), survivors)
-    labels = {k: products[pairs[k].i, pairs[k].j] for k in survivors}
+    labels = {k: products[k] for k in survivors}
     return LabeledComplex(sub, labels, ideal.table), record
 
 
@@ -236,12 +219,6 @@ class BoundTable:
     t: tuple[int, ...]
     max_d: int
     rows: list[tuple[str, list[int]]]
-
-    def row(self, name: str) -> list[int]:
-        for label, values in self.rows:
-            if label == name:
-                return values
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         return {

@@ -53,14 +53,6 @@ class VariableTable:
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.n)
 
-    def variable(self, k: int) -> "Monomial":
-        exps = [0] * self.n
-        exps[k] = 1
-        return Monomial(self, tuple(exps))
-
-    def monomial(self, exps: Sequence[int]) -> "Monomial":
-        return Monomial(self, tuple(exps))
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -291,7 +283,8 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
 # Two modes, auto-detected: single-letter (`abe`, `x^2yz`) where every variable
 # is one letter, and starred (`x1*x2^2`) where names are words separated by
 # `*`.  An ideal is a comma-separated list of monomials.  Variable order is
-# first appearance unless an explicit name list is given.
+# first appearance unless an explicit name list is given.  Exponents are
+# decimal (`str.isdigit` would take `²`, which `int` rejects).
 # ---------------------------------------------------------------------------
 
 
@@ -312,7 +305,7 @@ def _scan_single_letter(text: str, offset: int) -> list[tuple[str, int, int]]:
         if i < len(text) and text[i] == "^":
             i += 1
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             if start == i:
                 raise ParseError("expected digits after '^'", offset + i)
@@ -337,7 +330,7 @@ def _scan_starred(text: str, offset: int) -> list[tuple[str, int, int]]:
         exp = 1
         if sep:
             exp_text = exp_text.strip()
-            if not exp_text.isdigit():
+            if not exp_text.isdecimal():
                 raise ParseError("expected digits after '^'", offset + lead)
             exp = int(exp_text)
         factors.append((name, exp, offset + lead))

@@ -16,8 +16,8 @@ clearing; `forced_ranks` runs one of the package's two face routes on the
 unreduced family, so a test can compare the routes; `unmemoized_betti_numbers`
 ranks every restriction with the package's `ranks_from_members` and no memo,
 so a test can isolate the memo; and the small helpers at the end
-(`reduced_homology_ranks`, `is_connected`, `delete_vertex`, `top_label`, ...)
-are conveniences only the tests use.
+(`reduced_homology_ranks`, `is_connected`, `delete_vertex`, `top_label`,
+`pair_index`, `variable`, ...) are conveniences only the tests use.
 """
 
 from fractions import Fraction
@@ -36,6 +36,7 @@ from lsquare.homology import (
     ranks_from_members,
 )
 from lsquare.labeled import BettiTable, LabeledComplex
+from lsquare.monomials import Monomial
 
 
 def brute_faces(facets):
@@ -227,7 +228,7 @@ def unmemoized_betti_numbers(lab, ideal, field=RATIONALS):
     for exps in ideal.sorted_lattice:
         for d, r in ranks_from_members(lab._strict_members(exps), field).items():
             if r:
-                graded[(d + 1, ideal.table.monomial(exps))] = r
+                graded[(d + 1, Monomial(ideal.table, exps))] = r
                 total[d + 1] = total.get(d + 1, 0) + r
     return BettiTable(total, graded)
 
@@ -286,7 +287,7 @@ def lcm_lattice_by_subsets(ideal):
     for size in range(1, len(rows) + 1):
         for combo in combinations(rows, size):
             out.add(tuple(max(col) for col in zip(*combo)))
-    return frozenset(ideal.table.monomial(exps) for exps in out)
+    return frozenset(Monomial(ideal.table, exps) for exps in out)
 
 
 def _label_exponents(lab, face):
@@ -455,3 +456,17 @@ def betti_upper_bounds(lab):
     """Face counts of the complex, an entrywise bound for the Betti numbers."""
     total = dict(enumerate(enumerated_f_vector(lab.complex)))
     return BettiTable(total, {})
+
+
+def pair_index(q, i, j):
+    """The position of pair (i, j), in either order, in `l2.pairs_of(q)`, in
+    closed form: pairs (1,1)..(1,q) come first, then (2,2)..(2,q), etc."""
+    i, j = min(i, j), max(i, j)
+    if not (1 <= i <= j <= q):
+        raise ValueError(f"pair ({i},{j}) out of range for q={q}")
+    return (i - 1) * q - (i - 1) * (i - 2) // 2 + (j - i)
+
+
+def variable(table, k):
+    """The k-th variable of a table as a monomial."""
+    return Monomial(table, [int(j == k) for j in range(table.n)])

@@ -202,6 +202,13 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+def test_superscript_exponent_is_a_parse_error(capsys):
+    for text in ("x^²", "x*y^²"):
+        code, _, err = run(capsys, "betti", text)
+        assert code == 1
+        assert "expected digits after '^'" in err and "position" in err
+
+
 def test_build_l2_table_and_json(capsys):
     code, out, _ = run(capsys, "build-l2", "abe,bc,cdf,ad")
     assert code == 0
@@ -604,11 +611,21 @@ def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
         ),
         (["verify", "--seed", "1", "--count", "200", "--format", "json"],
          "verify_seed1_count200.json"),
+        (["build-l2", "--format", "json", "abe,bc,cdf,ad"], "build_l2_running.json"),
+        (["build-l2", "--format", "json", "xabc,yade,zbdf,wcef"], "build_l2_sharp.json"),
+        (
+            ["build-l2", "--max-q", "12", "--format", "json",
+             "deghilm,bcefghl,aehijk,abefijk,acefhilm,ceghijkm,abefgjkm,adijkmn,"
+             "acdfmn,abdefgjkln,adefkm,bdfhjkmn"],
+            "build_l2_q12.json",
+        ),
     ],
 )
 def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, name):
-    # recorded before the lattice walks moved to exponent tuples; a change to
-    # any walk, order or count shows here
+    # the betti and verify files were recorded before the lattice walks moved
+    # to exponent tuples, the build-l2 files before the pair vertices were
+    # numbered by position alone; a change to any walk, order, count, vertex
+    # id or label shows here
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (DATA / name).read_text()

@@ -14,7 +14,7 @@ from lsquare.complexes import (
     verify_leaf_order,
 )
 from lsquare.homology import HomologyLimits, ResourceLimit
-from lsquare.l2 import l2_skeleton, pair_index, skeleton_face_bound
+from lsquare.l2 import l2_skeleton, skeleton_face_bound
 
 from oracles import (
     backtrack_leaf_order,
@@ -26,6 +26,7 @@ from oracles import (
     is_chordal_clique_complex,
     is_connected,
     leaf_by_definition,
+    pair_index,
     reduced_homology_ranks,
 )
 

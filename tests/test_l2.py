@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsquare.complexes import (
     f_vector,
@@ -11,21 +13,27 @@ from lsquare.complexes import (
 )
 from lsquare.l2 import (
     DeletionRecord,
+    _deletion_scan,
     PairVertex,
     bound_table,
     deletion_face_bound,
     l2_of_ideal,
     l2_skeleton,
-    pair_index,
     pairs_of,
     skeleton_face_bound,
     taylor_face_bound,
 )
 from lsquare.labeled import betti_numbers
-from lsquare.monomials import MonomialIdeal, parse_ideal
+from lsquare.monomials import (
+    Monomial,
+    MonomialIdeal,
+    VariableTable,
+    minimalize,
+    parse_ideal,
+)
 from lsquare.randoms import sample_ideal
 
-from oracles import enumerated_f_vector
+from oracles import enumerated_f_vector, pair_index
 
 
 def test_pair_vertex_normalizes():
@@ -153,6 +161,37 @@ def test_labels_are_the_square_generators():
         assert lab.complex == induced_subcomplex(sk, survivors)
 
 
+@st.composite
+def squarefree_ideals(draw):
+    """Square-free ideals on at most 6 variables: either k-subsets of the
+    variables, whose pair products tie often, or random supports."""
+    n = draw(st.integers(2, 6))
+    table = VariableTable(tuple("abcdef"[:n]))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        pool = list(combinations(range(n), k))
+    else:
+        pool = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    supports = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7, unique=True))
+    gens = [Monomial(table, [int(v in s) for v in range(n)]) for s in supports]
+    return MonomialIdeal.minimal(gens)
+
+
+@given(squarefree_ideals())
+@settings(max_examples=200, deadline=None)
+def test_deletion_scan_drops_what_minimalize_drops(ideal):
+    # the scan deletes a position exactly when its product is not a minimal
+    # generator of the square, or a later position holds the same product
+    gens = ideal.gens
+    products = [gens[v.i - 1] * gens[v.j - 1] for v in pairs_of(ideal.q)]
+    minimal = set(minimalize(products))
+    last = {p: k for k, p in enumerate(products)}
+    expected = {
+        k for k, p in enumerate(products) if p not in minimal or last[p] != k
+    }
+    assert _deletion_scan(products) == expected
+
+
 def test_l2_of_ideal_builds_no_square(monkeypatch):
     # the labels come from one pair-product table; comparing them with the
     # square is the caller's check, on the square the caller already holds
@@ -220,27 +259,29 @@ def test_deletion_bound_equals_enumerated_f_vector():
 def test_bound_table_running_example():
     I, _ = parse_ideal("abe,bc,cdf,ad")
     table = bound_table(I)
+    rows = dict(table.rows)
     assert table.q == 4 and table.s == 9 and table.max_d == 6
-    assert table.row("taylor-largest") == [10, 45, 120, 210, 252, 210, 120]
-    assert table.row("taylor") == [9, 36, 84, 126, 126, 84, 36]
-    assert table.row("skeleton") == [10, 27, 32, 19, 6, 1, 0]
-    assert table.row("complex") == [9, 20, 18, 7, 1, 0, 0]
-    assert table.row("betti") == [9, 14, 6, 0, 0, 0, 0]
+    assert rows["taylor-largest"] == [10, 45, 120, 210, 252, 210, 120]
+    assert rows["taylor"] == [9, 36, 84, 126, 126, 84, 36]
+    assert rows["skeleton"] == [10, 27, 32, 19, 6, 1, 0]
+    assert rows["complex"] == [9, 20, 18, 7, 1, 0, 0]
+    assert rows["betti"] == [9, 14, 6, 0, 0, 0, 0]
 
 
 def test_bound_table_four_variables():
     J, _ = parse_ideal("x,y,z,w")
     table = bound_table(J)
-    assert table.row("skeleton") == [10, 27, 32, 19, 6, 1, 0]
-    assert table.row("betti") == [10, 20, 15, 4, 0, 0, 0]
+    rows = dict(table.rows)
+    assert rows["skeleton"] == [10, 27, 32, 19, 6, 1, 0]
+    assert rows["betti"] == [10, 20, 15, 4, 0, 0, 0]
 
 
 def test_bound_table_principal_ideal():
     one, _ = parse_ideal("ab")
-    table = bound_table(one)
-    assert table.row("betti")[0] == 1
-    assert all(v == 0 for v in table.row("betti")[1:])
-    assert table.row("complex")[0] == 1
+    rows = dict(bound_table(one).rows)
+    assert rows["betti"][0] == 1
+    assert all(v == 0 for v in rows["betti"][1:])
+    assert rows["complex"][0] == 1
 
 
 def test_sharpness_betti_equals_skeleton_f_vector(sharpness_ideal):

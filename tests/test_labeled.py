@@ -36,6 +36,7 @@ from oracles import (
     restrict_strict,
     top_label,
     unmemoized_betti_numbers,
+    variable,
 )
 
 XYZ = VariableTable(("x", "y", "z"))
@@ -99,7 +100,7 @@ def test_taylor_complex_shapes():
 def test_taylor_complex_has_no_vertex_cap():
     # the vertex cap is the CLI's --max-taylor; the library builds any size
     table = VariableTable(tuple(f"x{k}" for k in range(23)))
-    ideal = MonomialIdeal(table, tuple(table.variable(k) for k in range(23)))
+    ideal = MonomialIdeal(table, tuple(variable(table, k) for k in range(23)))
     t = taylor_complex(ideal)
     assert len(t.complex.vertices) == 23 and len(t.complex.facets) == 1
 
@@ -152,7 +153,7 @@ def assert_masks_match_oracles(lab, lattice, tag):
         return [verts[b] for b in range(len(verts)) if mask >> b & 1]
 
     for exps in lattice:
-        m = lab.table.monomial(exps)
+        m = Monomial(lab.table, exps)
         vm = lab._divisor_mask(exps)
         want = restrict_divides(lab, m).complex
         assert set(vertices_of(vm)) == want.vertices, (tag, m)
@@ -422,7 +423,7 @@ def test_criteria_agree_on_random_quasi_forests():
         }
         for v in labels:
             if labels[v].is_one:
-                labels[v] = table.variable(rng.randrange(6))
+                labels[v] = variable(table, rng.randrange(6))
         try:
             ideal = MonomialIdeal.minimal(list(labels.values()))
         except ValueError:

@@ -74,6 +74,25 @@ def test_parse_errors_carry_position():
         parse_ideal("ab,z", names=["a", "b"])
 
 
+def test_superscript_exponents_are_parse_errors():
+    # "²" passes str.isdigit but not int(): both scanners must reject it as
+    # they reject an empty exponent, with the same message and position
+    for text, empty in (("x^²", "x^"), ("x*y^²", "x*y^"), ("ab^²c", "ab^")):
+        with pytest.raises(ParseError) as err:
+            parse_ideal(text)
+        with pytest.raises(ParseError) as expected:
+            parse_ideal(empty)
+        assert str(err.value) == str(expected.value)
+        assert "expected digits after '^'" in str(err.value)
+
+
+def test_decimal_digits_of_any_script_are_exponents():
+    ideal, _ = parse_ideal("x^\u0663,y")
+    assert format_ideal(ideal) == "x^3,y"
+    ideal, _ = parse_ideal("x*y^\u0663")
+    assert ideal.gens[0].exponents == (1, 3)
+
+
 def test_unit_ideal_rejected():
     with pytest.raises(ParseError):
         parse_ideal("a^0")
@@ -134,13 +153,13 @@ def test_is_squarefree():
 
 def test_minimalize_simple():
     table = VariableTable(("x", "y"))
-    x, y = table.variable(0), table.variable(1)
+    x, y = Monomial(table, (1, 0)), Monomial(table, (0, 1))
     assert minimalize([x, x * y, y]) == [x, y]
 
 
 def test_minimalize_preserves_order_and_first_duplicate():
     table = VariableTable(("x", "y"))
-    x, y = table.variable(0), table.variable(1)
+    x, y = Monomial(table, (1, 0)), Monomial(table, (0, 1))
     assert minimalize([y, x, y]) == [y, x]
     with pytest.raises(ValueError):
         minimalize([])
@@ -206,7 +225,7 @@ def test_an_ideal_made_from_a_list_is_minimalized_once(monkeypatch):
 
 def test_ideal_requires_minimal_generators():
     table = VariableTable(("x", "y"))
-    x, y = table.variable(0), table.variable(1)
+    x, y = Monomial(table, (1, 0)), Monomial(table, (0, 1))
     assert MonomialIdeal(table, (x, x * y)).gens == (x,)
     assert MonomialIdeal.minimal([x, x * y, y]).q == 2
 
@@ -262,7 +281,7 @@ def test_lcm_lattice_with_huge_exponents_closes_fast():
         (5, 2, 10**6 - 3, 999_997),
         (10**6 + 2, 10**6 + 3, 1, 0),
     ]
-    ideal = MonomialIdeal.minimal([table.monomial(e) for e in gens])
+    ideal = MonomialIdeal.minimal([Monomial(table, e) for e in gens])
     start = time.perf_counter()
     lattice = lcm_lattice(ideal)
     assert time.perf_counter() - start < 1.0
@@ -282,7 +301,7 @@ def monomial_lists(draw):
     exponent = st.one_of(st.integers(0, 2), st.integers(0, 10**6))
     rows = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=8))
     rows += draw(st.lists(st.sampled_from(rows), max_size=2))
-    return [table.monomial(r) for r in rows]
+    return [Monomial(table, r) for r in rows]
 
 
 @settings(max_examples=300)
@@ -319,7 +338,7 @@ def lists_with_divisor_chains(draw):
     for _ in range(draw(st.integers(0, 3))):
         m = draw(st.sampled_from(gens))
         for _ in range(draw(st.integers(1, 3))):
-            m = m * table.monomial(draw(st.tuples(*[exponent] * table.n)))
+            m = m * Monomial(table, draw(st.tuples(*[exponent] * table.n)))
             gens.insert(draw(st.integers(0, len(gens))), m)
     return gens
 
@@ -376,7 +395,7 @@ def exponent_pairs(draw):
 def test_divides_lcm_and_product_agree_with_exponent_arithmetic(pair):
     a, b = pair
     table = VariableTable(tuple("uvwxyz"[: len(a)]))
-    x, y = table.monomial(a), table.monomial(b)
+    x, y = Monomial(table, a), Monomial(table, b)
     assert x.divides(y) == all(i <= j for i, j in zip(a, b))
     assert x.lcm(y).exponents == tuple(max(i, j) for i, j in zip(a, b))
     assert (x * y).exponents == tuple(i + j for i, j in zip(a, b))
@@ -404,8 +423,8 @@ def test_exponents_stay_nonnegative_and_unbounded():
     with pytest.raises(ValueError, match="nonnegative"):
         Monomial(ABC, (0, -1, 0))
     with pytest.raises(ValueError, match="nonnegative"):
-        ABC.monomial((-(10**6), 10**6, 0))
-    big = ABC.monomial((10**6 - 1, 10**6, 1))
+        Monomial(ABC, (-(10**6), 10**6, 0))
+    big = Monomial(ABC, (10**6 - 1, 10**6, 1))
     assert (big * big).exponents == (2 * 10**6 - 2, 2 * 10**6, 2)
     assert big.divides(big * big) and not (big * big).divides(big)
 
@@ -435,7 +454,7 @@ def exponent_ideals(draw):
     rows = draw(
         st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=7)
     )
-    return MonomialIdeal.minimal([table.monomial(r) for r in rows])
+    return MonomialIdeal.minimal([Monomial(table, r) for r in rows])
 
 
 @settings(max_examples=200)
