@@ -18,7 +18,6 @@ from .homology import (
 from .l2 import (
     BoundTable,
     DeletionRecord,
-    PairVertex,
     bound_table,
     deletion_face_bound,
     l2_of_ideal,

@@ -122,7 +122,11 @@ def _labeled_complex(args, ideal, target):
     which only here is capped by --max-taylor."""
     if args.complex:
         with open(args.complex) as fh:
-            return labeled_from_json(json.load(fh), ideal.table), args.complex
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ValueError("complex JSON nests too deeply") from None
+        return labeled_from_json(obj, ideal.table), args.complex
     if args.power == 2 and ideal.is_squarefree():
         return l2mod.l2_of_ideal(ideal)[0], _L2_SOURCE
     if target.q > args.max_taylor:
@@ -199,17 +203,15 @@ def cmd_build_l2(args) -> int:
     pairs = l2mod.pairs_of(ideal.q)
     if args.format == "json":
         obj = labeled_to_json(lab)
-        obj["pairs"] = {
-            str(k): [pairs[k].i, pairs[k].j] for k in sorted(lab.complex.vertices)
-        }
+        obj["pairs"] = {str(k): list(pairs[k]) for k in sorted(lab.complex.vertices)}
         obj["deletion"] = record.to_json()
         print(json.dumps(obj, indent=2))
         return EXIT_OK
     print(f"q = {ideal.q}, surviving vertices s = {record.s}")
     if record.deleted:
         gone = ", ".join(
-            f"{v} [{format_monomial(ideal.gens[v.i - 1] * ideal.gens[v.j - 1])}]"
-            for v in sorted(record.deleted, key=lambda v: (v.i, v.j))
+            f"l({i},{j}) [{format_monomial(ideal.gens[i - 1] * ideal.gens[j - 1])}]"
+            for i, j in sorted(record.deleted)
         )
         print(f"deleted: {gone}")
         print(f"t = {list(record.t)}")
@@ -217,7 +219,7 @@ def cmd_build_l2(args) -> int:
         print("deleted: none (complex equals the full skeleton)")
     print("facets:")
     for f in lab.complex.facets:
-        names = ", ".join(str(pairs[k]) for k in sorted(f))
+        names = ", ".join("l({},{})".format(*pairs[k]) for k in sorted(f))
         label = format_monomial(lab.face_label(f))
         print(f"  dim {len(f) - 1}: {{{names}}}  label {label}")
     return EXIT_OK

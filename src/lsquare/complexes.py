@@ -17,8 +17,6 @@ from typing import Iterable, Mapping, Sequence
 from . import homology as hml
 from .homology import DEFAULT_LIMITS, HomologyLimits
 
-Face = frozenset  # a face is a frozenset of vertex ids; dim(F) = len(F) - 1
-
 
 def _maximalize(faces: Iterable[frozenset]) -> tuple[frozenset, ...]:
     uniq = set(map(frozenset, faces))

@@ -1,13 +1,13 @@
 """The pair complexes L2_q and L2(I), deletion bookkeeping, and face-count bounds.
 
-L2_q lives on the index pairs (i, j) with 1 <= i <= j <= q, each named by its
-position in `pairs_of(q)` throughout.  Its facets are one "row" per index i
-(all pairs containing i) plus the set of all off-diagonal pairs; for q <= 2
-the off-diagonal set is swallowed by the rows.  Labeling pair (i, j) of L2_q
-with the product of generators i and j of a square-free ideal I, and deleting
-every vertex whose product is a redundant generator of the square, produces
-the induced subcomplex L2(I) whose surviving labels are exactly the minimal
-generators of I^2.
+L2_q lives on the index pairs 1 <= i <= j <= q, each a plain (i, j) tuple,
+named as a vertex by its position in `pairs_of(q)` throughout.  Its facets
+are one "row" per index i (all pairs containing i) plus the set of all
+off-diagonal pairs; for q <= 2 the off-diagonal set is swallowed by the rows.
+Labeling pair (i, j) of L2_q with the product of generators i and j of a
+square-free ideal I, and deleting every vertex whose product is a redundant
+generator of the square, produces the induced subcomplex L2(I) whose
+surviving labels are exactly the minimal generators of I^2.
 """
 
 from __future__ import annotations
@@ -29,33 +29,10 @@ from .labeled import (
 from .monomials import Monomial, MonomialIdeal
 
 
-@dataclass(frozen=True)
-class PairVertex:
-    """An unordered index pair; construction normalizes to i <= j."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i > self.j:
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
-        if self.i < 1:
-            raise ValueError("pair indices are 1-based")
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.i == self.j
-
-    def __str__(self) -> str:
-        return f"l({self.i},{self.j})"
-
-
-def pairs_of(q: int) -> list[PairVertex]:
-    """All pair vertices for q generators, in lexicographic order; the position
-    of a pair in this list is its vertex id in every complex built here."""
-    return [PairVertex(i, j) for i in range(1, q + 1) for j in range(i, q + 1)]
+def pairs_of(q: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), 1 <= i <= j <= q, as tuples in lexicographic order; a
+    pair's position in this list is its vertex id in every complex built here."""
+    return [(i, j) for i in range(1, q + 1) for j in range(i, q + 1)]
 
 
 def l2_skeleton(q: int) -> SimplicialComplex:
@@ -64,10 +41,10 @@ def l2_skeleton(q: int) -> SimplicialComplex:
         raise ValueError("q must be >= 1")
     rows: list[set[int]] = [set() for _ in range(q)]
     off_diagonal: set[int] = set()
-    for k, v in enumerate(pairs_of(q)):
-        rows[v.i - 1].add(k)
-        rows[v.j - 1].add(k)
-        if not v.is_diagonal:
+    for k, (i, j) in enumerate(pairs_of(q)):
+        rows[i - 1].add(k)
+        rows[j - 1].add(k)
+        if i != j:
             off_diagonal.add(k)
     # for q <= 2 the off-diagonal set is a face of a row, not a facet
     return SimplicialComplex.from_facets(c for c in [*rows, off_diagonal] if c)
@@ -75,17 +52,16 @@ def l2_skeleton(q: int) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class DeletionRecord:
-    """Which pair vertices were deleted when specializing the skeleton to an ideal."""
+    """The pairs deleted when specializing the skeleton to an ideal, as (i, j)
+    tuples of `pairs_of(q)`; none is diagonal, so each has 1 <= i < j <= q."""
 
     q: int
-    deleted: frozenset[PairVertex]
+    deleted: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        for v in self.deleted:
-            if v.is_diagonal:
-                raise ValueError("diagonal pair vertices are never deleted")
-            if v.j > self.q:
-                raise ValueError(f"{v} out of range for q={self.q}")
+        for i, j in self.deleted:
+            if not 1 <= i < j <= self.q:
+                raise ValueError(f"deleted pair ({i},{j}) needs 1 <= i < j <= {self.q}")
 
     @property
     def s(self) -> int:
@@ -96,14 +72,14 @@ class DeletionRecord:
     def t(self) -> tuple[int, ...]:
         """t[i-1] counts deleted pairs containing index i; sums to 2x deletions."""
         counts = [0] * self.q
-        for v in self.deleted:
-            counts[v.i - 1] += 1
-            counts[v.j - 1] += 1
+        for i, j in self.deleted:
+            counts[i - 1] += 1
+            counts[j - 1] += 1
         return tuple(counts)
 
     def to_json(self) -> dict:
         return {
-            "deleted": sorted([v.i, v.j] for v in self.deleted),
+            "deleted": sorted([i, j] for i, j in self.deleted),
             "s": self.s,
             "t": list(self.t),
         }
@@ -145,9 +121,9 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     q = ideal.q
     pairs = pairs_of(q)
     gens = ideal.gens
-    products = [gens[v.i - 1] * gens[v.j - 1] for v in pairs]
+    products = [gens[i - 1] * gens[j - 1] for i, j in pairs]
     deleted = _deletion_scan(products)
-    if any(pairs[k].is_diagonal for k in deleted):
+    if any(pairs[k][0] == pairs[k][1] for k in deleted):
         raise AssertionError("a diagonal product compared equal or divisible")
     record = DeletionRecord(q, frozenset(pairs[k] for k in deleted))
 

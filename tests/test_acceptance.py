@@ -97,7 +97,7 @@ def test_criterion_3_running_example(running_ideal):
         lab, record = l2_of_ideal(I)
         assert len(record.deleted) == 1
         (gone,) = record.deleted
-        assert (gone.i, gone.j) == (1, 3)
+        assert gone == (1, 3)
         assert I.gens[0] * I.gens[2] not in set(lab.labels.values())
         assert sorted(len(f) - 1 for f in lab.complex.facets) == [2, 2, 3, 3, 4]
         fv = f_vector(lab.complex)

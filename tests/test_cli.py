@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lsquare import complexes
 from lsquare.cli import main
@@ -619,13 +619,22 @@ def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
              "acdfmn,abdefgjkln,adefkm,bdfhjkmn"],
             "build_l2_q12.json",
         ),
+        (["build-l2", "--format", "table", "abe,bc,cdf,ad"], "build_l2_running.txt"),
+        (["build-l2", "--format", "table", "xabc,yade,zbdf,wcef"], "build_l2_sharp.txt"),
+        (
+            ["build-l2", "--max-q", "12", "--format", "table",
+             "deghilm,bcefghl,aehijk,abefijk,acefhilm,ceghijkm,abefgjkm,adijkmn,"
+             "acdfmn,abdefgjkln,adefkm,bdfhjkmn"],
+            "build_l2_q12.txt",
+        ),
     ],
 )
 def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, name):
     # the betti and verify files were recorded before the lattice walks moved
-    # to exponent tuples, the build-l2 files before the pair vertices were
-    # numbered by position alone; a change to any walk, order, count, vertex
-    # id or label shows here
+    # to exponent tuples, the build-l2 JSON files before the pair vertices were
+    # numbered by position alone, and the build-l2 tables before the pairs
+    # became plain tuples; a change to any walk, order, count, vertex id, label
+    # or printed pair name shows here
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (DATA / name).read_text()
@@ -672,6 +681,8 @@ def run_quietly(argv):
 
 
 @given(complex_files, ideal_texts, st.sampled_from(["betti", "check-support"]))
+@example(b"[" * 100_000 + b"]" * 100_000, "x", "betti")
+@example(b"[" * 100_000 + b"]" * 100_000, "x", "check-support")
 @settings(max_examples=150, deadline=3000)
 def test_hostile_complex_files_and_ideals_end_cleanly(data, ideal, command):
     with tempfile.TemporaryDirectory() as tmp:

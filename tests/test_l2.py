@@ -14,7 +14,6 @@ from lsquare.complexes import (
 from lsquare.l2 import (
     DeletionRecord,
     _deletion_scan,
-    PairVertex,
     bound_table,
     deletion_face_bound,
     l2_of_ideal,
@@ -36,20 +35,13 @@ from lsquare.randoms import sample_ideal
 from oracles import enumerated_f_vector, pair_index
 
 
-def test_pair_vertex_normalizes():
-    assert PairVertex(3, 1) == PairVertex(1, 3)
-    assert PairVertex(2, 2).is_diagonal
-    with pytest.raises(ValueError):
-        PairVertex(0, 1)
-
-
 def test_pair_index_matches_enumeration():
     for q in range(1, 9):
         pairs = pairs_of(q)
         assert len(pairs) == comb(q + 1, 2)
-        for k, v in enumerate(pairs):
-            assert pair_index(q, v.i, v.j) == k
-            assert pair_index(q, v.j, v.i) == k
+        for k, (i, j) in enumerate(pairs):
+            assert pair_index(q, i, j) == k
+            assert pair_index(q, j, i) == k
 
 
 def test_skeleton_small_cases():
@@ -108,7 +100,7 @@ def test_skeleton_quasi_forest_orders_up_to_eight():
 def test_running_example_deletion():
     I, _ = parse_ideal("abe,bc,cdf,ad")
     lab, record = l2_of_ideal(I)
-    assert record.deleted == frozenset({PairVertex(1, 3)})
+    assert record.deleted == frozenset({(1, 3)})
     assert record.s == 9
     assert record.t == (1, 0, 1, 0)
     assert sorted(len(f) - 1 for f in lab.complex.facets) == [2, 2, 3, 3, 4]
@@ -153,7 +145,7 @@ def test_labels_are_the_square_generators():
         square = ideal.power(2)
         assert set(lab.labels.values()) == set(square.gens)
         assert record.s == square.q
-        assert all(not v.is_diagonal for v in record.deleted)
+        assert all(i != j for i, j in record.deleted)
         assert sum(record.t) == 2 * len(record.deleted)
         # the complex is the induced subcomplex of the skeleton on survivors
         sk = l2_skeleton(ideal.q)
@@ -183,7 +175,7 @@ def test_deletion_scan_drops_what_minimalize_drops(ideal):
     # the scan deletes a position exactly when its product is not a minimal
     # generator of the square, or a later position holds the same product
     gens = ideal.gens
-    products = [gens[v.i - 1] * gens[v.j - 1] for v in pairs_of(ideal.q)]
+    products = [gens[i - 1] * gens[j - 1] for i, j in pairs_of(ideal.q)]
     minimal = set(minimalize(products))
     last = {p: k for k, p in enumerate(products)}
     expected = {
@@ -204,7 +196,7 @@ def test_l2_of_ideal_builds_no_square(monkeypatch):
     lab, record = l2_of_ideal(I)
     labels = list(lab.labels.values())
     assert len(labels) == square.q and set(labels) == set(square.gens)
-    assert record.deleted == {PairVertex(1, 3)}
+    assert record.deleted == {(1, 3)}
 
 
 def test_equal_products_keep_one_representative():
@@ -219,18 +211,20 @@ def test_equal_products_keep_one_representative():
 
 
 def test_deletion_record_invariants_and_json():
-    record = DeletionRecord(4, frozenset({PairVertex(1, 3)}))
+    record = DeletionRecord(4, frozenset({(1, 3)}))
     assert record.s == 9
     assert record.t == (1, 0, 1, 0)
     obj = record.to_json()
     assert obj == {"deleted": [[1, 3]], "s": 9, "t": [1, 0, 1, 0]}
-    with pytest.raises(ValueError):
-        DeletionRecord(4, frozenset({PairVertex(2, 2)}))
+    # a deleted pair is off the diagonal, ordered and in range
+    for pair in [(3, 1), (0, 1), (2, 2), (1, 5)]:
+        with pytest.raises(ValueError):
+            DeletionRecord(4, frozenset({pair}))
 
 
 def test_bound_formulas_match_tables():
     assert [skeleton_face_bound(4, d) for d in range(7)] == [10, 27, 32, 19, 6, 1, 0]
-    record = DeletionRecord(4, frozenset({PairVertex(1, 3)}))
+    record = DeletionRecord(4, frozenset({(1, 3)}))
     assert [deletion_face_bound(record, d) for d in range(7)] == [9, 20, 18, 7, 1, 0, 0]
     assert [taylor_face_bound(10, d) for d in range(7)] == [10, 45, 120, 210, 252, 210, 120]
     assert [taylor_face_bound(9, d) for d in range(7)] == [9, 36, 84, 126, 126, 84, 36]
