@@ -136,14 +136,6 @@ def _is_leaf_of(facets: Sequence[frozenset], f: frozenset) -> bool:
     return any(hull <= g for g in others)
 
 
-def verify_leaf_order(order: Sequence[frozenset]) -> bool:
-    """Each facet must be a leaf of the complex spanned by it and its predecessors."""
-    for k in range(len(order)):
-        if not _is_leaf_of(order[: k + 1], order[k]):
-            return False
-    return True
-
-
 def quasi_forest_order(delta: SimplicialComplex) -> list[frozenset] | None:
     """A facet order F_0..F_k with each F_i a leaf of <F_0..F_i>, or None.
 
@@ -167,8 +159,7 @@ def quasi_forest_order(delta: SimplicialComplex) -> list[frozenset] | None:
 
     Every quasi-forest has a leaf (the last facet of a leaf order), so on a
     quasi-forest the peel never gets stuck, whichever leaf it removes; when
-    it does finish, the reversed removals form a leaf order.  Orders are
-    re-verified before return.
+    it does finish, the reversed removals form a leaf order.
     """
     remaining = sorted(
         (f for f in delta.facets if f), key=lambda f: (len(f), tuple(sorted(f)))
@@ -180,10 +171,7 @@ def quasi_forest_order(delta: SimplicialComplex) -> list[frozenset] | None:
             return None
         remaining.remove(leaf)
         peeled.append(leaf)
-    order = peeled[::-1]
-    if not verify_leaf_order(order):
-        raise AssertionError("the peel produced an invalid leaf order")
-    return order
+    return peeled[::-1]
 
 
 # ---------------------------------------------------------------------------

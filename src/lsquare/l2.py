@@ -5,14 +5,14 @@ named as a vertex by its position in `pairs_of(q)` throughout.  Its facets
 are one "row" per index i (all pairs containing i) plus the set of all
 off-diagonal pairs; for q <= 2 the off-diagonal set is swallowed by the rows.
 Labeling pair (i, j) of L2_q with the product of generators i and j of a
-square-free ideal I, and deleting every vertex whose product is a redundant
-generator of the square, produces the induced subcomplex L2(I) whose
-surviving labels are exactly the minimal generators of I^2.
+square-free ideal I, and keeping the vertices whose products
+`monomials.minimalize` keeps, the last of equal products, produces the
+induced subcomplex L2(I) whose surviving labels are exactly the minimal
+generators of I^2.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -26,7 +26,7 @@ from .labeled import (
     supports_resolution_homological,
     taylor_complex,
 )
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal, minimalize
 
 
 def pairs_of(q: int) -> list[tuple[int, int]]:
@@ -85,35 +85,19 @@ class DeletionRecord:
         }
 
 
-def _deletion_scan(products: list[Monomial]) -> set[int]:
-    """Positions of the redundant pairs, given the pair products in `pairs_of` order.
-
-    Of two equal products the smaller position, whose pair is the
-    lexicographically smaller, is deleted; if one product properly divides
-    the other, the position with the larger product is deleted.
-    """
-    deleted: set[int] = set()
-    for (a, p), (b, r) in itertools.combinations(enumerate(products), 2):
-        if p == r:
-            deleted.add(a)
-        elif p.divides(r):
-            deleted.add(b)
-        elif r.divides(p):
-            deleted.add(a)
-    return deleted
-
-
 def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     """The labeled induced subcomplex of the skeleton specialized to a square-free ideal.
 
     Each pair product g_i * g_j is computed once, into one list in the order
     of `pairs_of(q)`, whose positions are the vertex ids: vertex k is labeled
-    from products[k], and the redundant ones are deleted after one scan over
-    the list.  No diagonal pair is ever deleted (asserted here).  By the
-    paper's lemma the surviving labels are exactly the minimal generators of
-    I^2; the square itself is not built here.  Every support criterion and
-    `betti_numbers` check the labels against the caller's square, and
-    `verify` reports the comparison as `labels-match-square`.
+    from products[k].  The vertices kept are the products `minimalize` keeps;
+    of equal products the last position is kept, so the smaller position,
+    whose pair is the lexicographically smaller, is deleted.  No diagonal pair
+    is ever deleted (asserted here).  By the paper's lemma the surviving
+    labels are exactly the minimal generators of I^2; the square itself is
+    not built here.  Every support criterion and `betti_numbers` check the
+    labels against the caller's square, and `verify` reports the comparison
+    as `labels-match-square`.
     """
     for g in ideal.gens:
         if not g.is_squarefree():
@@ -122,12 +106,14 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     pairs = pairs_of(q)
     gens = ideal.gens
     products = [gens[i - 1] * gens[j - 1] for i, j in pairs]
-    deleted = _deletion_scan(products)
+    last = {p: k for k, p in enumerate(products)}
+    kept = {last[p] for p in minimalize(products)}
+    deleted = [k for k in range(len(pairs)) if k not in kept]
     if any(pairs[k][0] == pairs[k][1] for k in deleted):
         raise AssertionError("a diagonal product compared equal or divisible")
     record = DeletionRecord(q, frozenset(pairs[k] for k in deleted))
 
-    survivors = [k for k in range(len(pairs)) if k not in deleted]
+    survivors = sorted(kept)
     sub = induced_subcomplex(l2_skeleton(q), survivors)
     labels = {k: products[k] for k in survivors}
     return LabeledComplex(sub, labels, ideal.table), record

@@ -395,7 +395,7 @@ def parse_ideal(
         if g.is_one:
             raise ParseError("the unit ideal is not accepted", start)
     ideal = MonomialIdeal.minimal(gens)
-    minimal = ideal.gens
+    minimal = set(ideal.gens)
     dropped = [g for g in gens if g not in minimal]
     # also dropped: later copies of a repeated generator
     counts: dict[Monomial, int] = {}

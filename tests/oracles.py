@@ -339,6 +339,11 @@ def leaf_by_definition(facets, f):
     return not others or any(all(f & h <= g for h in others) for g in others)
 
 
+def verify_leaf_order(order):
+    """Each facet is a leaf of the complex spanned by it and its predecessors."""
+    return all(leaf_by_definition(order[: k + 1], f) for k, f in enumerate(order))
+
+
 def backtrack_leaf_order(facets):
     """Exhaustive, memoised search for a leaf order of the nonempty facets, or None.
 

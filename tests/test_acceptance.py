@@ -11,7 +11,6 @@ from lsquare.complexes import (
     SimplicialComplex,
     f_vector,
     quasi_forest_order,
-    verify_leaf_order,
 )
 from lsquare.homology import PrimeField, RATIONALS
 from lsquare.l2 import (
@@ -31,6 +30,7 @@ from oracles import (
     backtrack_leaf_order,
     betti_upper_bounds,
     is_chordal_clique_complex,
+    verify_leaf_order,
 )
 
 SUBSAMPLE_SEED = 815

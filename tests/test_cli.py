@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -429,6 +430,16 @@ def test_resource_cap_exit_three(capsys):
     code, _, err = run(capsys, "bounds", "a,b,c,d,e,f,g,h", "--max-q", "9", "--max-faces", "64")
     assert code == 3
     assert "--max-faces" in err or "max-faces" in err
+
+
+def test_an_ideal_of_many_generators_is_refused_without_pairwise_comparison():
+    # --max-q refuses the 14 950 four-letter monomials of a..z; listing the
+    # dropped generators must not compare them pairwise before it does
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    ideal = ",".join("".join(c) for c in combinations(letters, 4))
+    code, out, err = run_bounded("betti", ideal, seconds=10)
+    assert code == 3 and out == ""
+    assert "--max-q" in err and "Traceback" not in err
 
 
 def test_resource_cap_message_says_how_far_over(capsys):

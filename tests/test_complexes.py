@@ -11,7 +11,6 @@ from lsquare.complexes import (
     f_vector,
     induced_subcomplex,
     quasi_forest_order,
-    verify_leaf_order,
 )
 from lsquare.homology import HomologyLimits, ResourceLimit
 from lsquare.l2 import l2_skeleton, skeleton_face_bound
@@ -28,6 +27,7 @@ from oracles import (
     leaf_by_definition,
     pair_index,
     reduced_homology_ranks,
+    verify_leaf_order,
 )
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets([{1, 2}, {2, 3}, {1, 3}])

@@ -9,11 +9,9 @@ from lsquare.complexes import (
     f_vector,
     induced_subcomplex,
     quasi_forest_order,
-    verify_leaf_order,
 )
 from lsquare.l2 import (
     DeletionRecord,
-    _deletion_scan,
     bound_table,
     deletion_face_bound,
     l2_of_ideal,
@@ -27,12 +25,16 @@ from lsquare.monomials import (
     Monomial,
     MonomialIdeal,
     VariableTable,
-    minimalize,
     parse_ideal,
 )
 from lsquare.randoms import sample_ideal
 
-from oracles import enumerated_f_vector, pair_index
+from oracles import (
+    enumerated_f_vector,
+    minimalize_pairwise,
+    pair_index,
+    verify_leaf_order,
+)
 
 
 def test_pair_index_matches_enumeration():
@@ -171,17 +173,19 @@ def squarefree_ideals(draw):
 
 @given(squarefree_ideals())
 @settings(max_examples=200, deadline=None)
-def test_deletion_scan_drops_what_minimalize_drops(ideal):
-    # the scan deletes a position exactly when its product is not a minimal
-    # generator of the square, or a later position holds the same product
+def test_l2_of_ideal_deletes_what_the_pairwise_oracle_drops(ideal):
+    # a pair is deleted exactly when its product is not a minimal generator
+    # of the square, by the pairwise oracle, or a later pair has the same one
+    pairs = pairs_of(ideal.q)
     gens = ideal.gens
-    products = [gens[i - 1] * gens[j - 1] for i, j in pairs_of(ideal.q)]
-    minimal = set(minimalize(products))
-    last = {p: k for k, p in enumerate(products)}
+    products = [gens[i - 1] * gens[j - 1] for i, j in pairs]
+    minimal = set(minimalize_pairwise(products))
     expected = {
-        k for k, p in enumerate(products) if p not in minimal or last[p] != k
+        pairs[k]
+        for k, p in enumerate(products)
+        if p not in minimal or p in products[k + 1 :]
     }
-    assert _deletion_scan(products) == expected
+    assert l2_of_ideal(ideal)[1].deleted == expected
 
 
 def test_l2_of_ideal_builds_no_square(monkeypatch):

@@ -124,11 +124,13 @@ def test_ideal_checks_reports_a_non_quasi_forest(monkeypatch):
 
 
 def test_ideal_checks_stops_when_the_labels_miss_a_square_generator(monkeypatch):
-    # delete one more off-diagonal pair than the scan finds: the labels then
+    # drop one more off-diagonal product than minimalize does: the labels then
     # miss a minimal generator of the square, and nothing after runs on them;
     # at q = 4, position 1 of pairs_of is the pair (1, 2)
-    scan = l2._deletion_scan
-    monkeypatch.setattr(l2, "_deletion_scan", lambda products: scan(products) | {1})
+    real = l2.minimalize
+    monkeypatch.setattr(
+        l2, "minimalize", lambda products: [p for p in real(products) if p != products[1]]
+    )
     ideal, _ = parse_ideal("abe,bc,cdf,ad")
     results = ideal_checks(ideal)
     assert [c.name for c in results] == ["square-size", "labels-match-square"]
@@ -140,8 +142,10 @@ def test_ideal_checks_stops_when_the_labels_miss_a_square_generator(monkeypatch)
 
 def test_ideal_checks_reports_a_deleted_diagonal_pair(monkeypatch):
     # at q = 4, position 4 of pairs_of is the pair (2, 2)
-    scan = l2._deletion_scan
-    monkeypatch.setattr(l2, "_deletion_scan", lambda products: scan(products) | {4})
+    real = l2.minimalize
+    monkeypatch.setattr(
+        l2, "minimalize", lambda products: [p for p in real(products) if p != products[4]]
+    )
     ideal, _ = parse_ideal("abe,bc,cdf,ad")
     results = ideal_checks(ideal)
     assert [(c.name, c.passed) for c in results] == [
