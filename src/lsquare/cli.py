@@ -203,7 +203,7 @@ def cmd_build_l2(args) -> int:
     pairs = l2mod.pairs_of(ideal.q)
     if args.format == "json":
         obj = labeled_to_json(lab)
-        obj["pairs"] = {str(k): list(pairs[k]) for k in sorted(lab.complex.vertices)}
+        obj["pairs"] = {str(k): list(pairs[k]) for k in lab.complex.ids}
         obj["deletion"] = record.to_json()
         print(json.dumps(obj, indent=2))
         return EXIT_OK

@@ -1,9 +1,10 @@
 """Facet-presented simplicial complexes over integer vertex ids.
 
-A complex is stored by its facets (maximal faces).  Two degenerate complexes
-are distinguished: the void complex, with no faces at all (empty facet tuple),
-and the empty complex {()}, whose only face is the empty set (a single empty
-facet).  Both have no vertices, but they differ in reduced homology at -1.
+A complex is stored as its sorted vertex `ids` and its facets (maximal
+faces) as `facet_masks` over positions in `ids`, ascending as `maximal_masks`
+returns them; frozensets are built only for output.  The void complex has no
+faces (no mask) and the empty complex {()} only the empty face (the mask 0):
+both have no vertices, but they differ in reduced homology at -1.
 """
 
 from __future__ import annotations
@@ -18,53 +19,43 @@ from . import homology as hml
 from .homology import DEFAULT_LIMITS, HomologyLimits
 
 
-def _maximalize(faces: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    uniq = set(map(frozenset, faces))
-    keep = [f for f in uniq if not any(f < g for g in uniq)]
-    keep.sort(key=lambda f: tuple(sorted(f)))
-    return tuple(keep)
+def _facet_masks(masks: Sequence[int]) -> tuple[int, ...]:
+    """The maximal masks; (0,) if all are 0, () if there are none."""
+    return tuple(hml.maximal_masks(masks)) or tuple(set(masks))
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    facets: tuple[frozenset, ...]
+    ids: tuple[int, ...]
+    facet_masks: tuple[int, ...]
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        return cls(_maximalize(frozenset(f) for f in facets))
+        facets = [set(f) for f in facets]
+        ids = tuple(sorted(set().union(*facets)))
+        at = {v: k for k, v in enumerate(ids)}
+        return cls(ids, _facet_masks([sum(1 << at[v] for v in f) for f in facets]))
 
-    def __post_init__(self):
-        object.__setattr__(self, "facets", tuple(map(frozenset, self.facets)))
+    def face(self, mask: int) -> tuple[int, ...]:
+        """The sorted vertex ids of a mask over positions in `ids`."""
+        return tuple(v for k, v in enumerate(self.ids) if mask >> k & 1)
+
+    @cached_property
+    def facets(self) -> tuple[frozenset, ...]:
+        """The facets as vertex sets, in sorted-tuple order."""
+        return tuple(map(frozenset, sorted(map(self.face, self.facet_masks))))
 
     @cached_property
     def vertices(self) -> frozenset:
-        out: set = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
+        return frozenset(self.ids)
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.facet_masks
 
     @property
     def dim(self) -> int:
-        return max((len(f) - 1 for f in self.facets), default=-1)
-
-    @cached_property
-    def _vertex_order(self) -> dict[int, int]:
-        return {v: k for k, v in enumerate(sorted(self.vertices))}
-
-    def mask_of(self, face: Iterable[int]) -> int:
-        order = self._vertex_order
-        m = 0
-        for v in face:
-            m |= 1 << order[v]
-        return m
-
-    @cached_property
-    def facet_masks(self) -> tuple[int, ...]:
-        return tuple(self.mask_of(f) for f in self.facets)
+        return max(map(int.bit_count, self.facet_masks), default=0) - 1
 
     def __str__(self) -> str:
         if self.is_void:
@@ -105,7 +96,9 @@ def f_vector(
 
 def induced_subcomplex(delta: SimplicialComplex, keep: Iterable[int]) -> SimplicialComplex:
     """Faces contained in `keep`, re-maximalized; the void complex stays void.
-    Unknown ids are ignored with a warning."""
+    Unknown ids are ignored with a warning.  Each kept id is in a cut facet, so
+    the double transpose (`homology._transpose`) renumbers the cut facets
+    onto the kept ids; it drops the mask 0 of the empty complex."""
     keep = frozenset(keep)
     unknown = keep - delta.vertices
     if unknown:
@@ -113,7 +106,10 @@ def induced_subcomplex(delta: SimplicialComplex, keep: Iterable[int]) -> Simplic
             f"{len(unknown)} vertex id(s) not in the complex were ignored",
             stacklevel=2,
         )
-    return SimplicialComplex.from_facets(f & keep for f in delta.facets)
+    kept = sum(1 << k for k, v in enumerate(delta.ids) if v in keep)
+    cut = _facet_masks([m & kept for m in delta.facet_masks])
+    ids = tuple(v for v in delta.ids if v in keep)
+    return SimplicialComplex(ids, tuple(hml._transpose(hml._transpose(cut))) or cut)
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +117,17 @@ def induced_subcomplex(delta: SimplicialComplex, keep: Iterable[int]) -> Simplic
 # ---------------------------------------------------------------------------
 
 
-def _is_leaf_of(facets: Sequence[frozenset], f: frozenset) -> bool:
-    """Whether facet f is a leaf of the complex spanned by `facets`.
+def _is_leaf_of(facets: Sequence[int], f: int) -> bool:
+    """Whether facet mask f is a leaf of the complex spanned by `facets`.
 
     f is a leaf when it is the only facet, or when some other facet G (a
     joint) contains f & H for every other facet H, i.e. contains the hull.
     """
     others = [h for h in facets if h != f]
-    if not others:
-        return True
-    hull: set = set()
+    hull = 0
     for h in others:
         hull |= f & h
-    return any(hull <= g for g in others)
+    return not others or any(not hull & ~g for g in others)
 
 
 def quasi_forest_order(delta: SimplicialComplex) -> list[frozenset] | None:
@@ -161,17 +155,16 @@ def quasi_forest_order(delta: SimplicialComplex) -> list[frozenset] | None:
     quasi-forest the peel never gets stuck, whichever leaf it removes; when
     it does finish, the reversed removals form a leaf order.
     """
-    remaining = sorted(
-        (f for f in delta.facets if f), key=lambda f: (len(f), tuple(sorted(f)))
-    )
-    peeled: list[frozenset] = []
+    faces = {m: delta.face(m) for m in delta.facet_masks if m}
+    remaining = sorted(faces, key=lambda m: (len(faces[m]), faces[m]))
+    peeled: list[int] = []
     while remaining:
         leaf = next((f for f in remaining if _is_leaf_of(remaining, f)), None)
         if leaf is None:
             return None
         remaining.remove(leaf)
         peeled.append(leaf)
-    return peeled[::-1]
+    return [frozenset(faces[m]) for m in reversed(peeled)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,7 @@ def complex_to_json(
     delta: SimplicialComplex, labels: Mapping[int, str] | None = None
 ) -> dict:
     obj: dict = {
-        "vertices": sorted(delta.vertices),
+        "vertices": list(delta.ids),
         "facets": [sorted(f) for f in delta.facets],
     }
     if labels is not None:

@@ -228,22 +228,28 @@ def estimated_face_count(members: list[int]) -> int:
 
 
 def enumerate_face_masks(members: list[int], max_faces: int) -> set[int]:
-    """All submasks of all members (the faces of the union complex), deduplicated."""
+    """All submasks of all members (the faces of the union complex), deduplicated.
+    The cap is tested after each member; one with more faces than the cap trips
+    it unlisted (its faces are distinct), so the set stays under twice the cap."""
     estimate = estimated_face_count(members)
     cap = ("max-faces", estimate, max_faces)
     if estimate > 64 * max_faces:
         raise ResourceLimit("face enumeration would exceed the face cap", *cap)
     faces: set[int] = set()
     for m in members:
+        if 1 << m.bit_count() > max_faces:
+            break
         sub = m
         while True:
             faces.add(sub)
-            if len(faces) > max_faces:
-                raise ResourceLimit("face enumeration exceeded the face cap", *cap)
             if sub == 0:
                 break
             sub = (sub - 1) & m
-    return faces
+        if len(faces) > max_faces:
+            break
+    else:
+        return faces
+    raise ResourceLimit("face enumeration exceeded the face cap", *cap)
 
 
 def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:

@@ -73,7 +73,7 @@ class LabeledComplex:
         below e (second table) in p, bits in sorted vertex order as in
         `SimplicialComplex.facet_masks`.  The lcm lattice of the labels has
         only these exponents, so x^1000000 costs what x^2 does."""
-        rows = [self.labels[v].exponents for v in sorted(self.complex.vertices)]
+        rows = [self.labels[v].exponents for v in self.complex.ids]
         at_most = [{} for _ in range(self.table.n)]
         below = [{} for _ in range(self.table.n)]
         for p in range(self.table.n):
@@ -90,7 +90,7 @@ class LabeledComplex:
     def _divisor_mask(self, exps: tuple[int, ...]) -> int:
         """Vertices whose label divides the monomial with exponents `exps`,
         a point of the lcm lattice of the labels."""
-        mask = (1 << len(self.complex.vertices)) - 1
+        mask = (1 << len(self.complex.ids)) - 1
         for column, e in zip(self._columns[0], exps):
             mask &= column[e]
         return mask

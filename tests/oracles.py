@@ -5,8 +5,9 @@ beyond its value types: faces come from itertools over explicit vertex tuples,
 matrices are dense lists, ranks are computed with Fraction (or mod-p) Gaussian
 elimination, restrictions filter explicit faces by their labels, the nerve is
 grown level by level over shared vertices, renumbering maps vertices one at a
-time, and the quasi-forest references search every leaf order or test the
-chordal-graph characterization directly.
+time, facets are maximalized by pairwise comparison of frozensets, and the
+quasi-forest references search every leaf order or test the chordal-graph
+characterization directly.
 
 Four kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
 assembles every boundary map on a position table (faces of each dimension
@@ -36,7 +37,17 @@ from lsquare.homology import (
     ranks_from_members,
 )
 from lsquare.labeled import BettiTable, LabeledComplex
-from lsquare.monomials import Monomial
+from lsquare.monomials import Monomial, MonomialIdeal, VariableTable
+
+
+def maximalize(faces):
+    """The distinct faces inside no other, as frozensets in sorted-vertex-tuple
+    order: the facets `SimplicialComplex.facets` lists.  Empty faces count, so
+    no faces give () (void) and only empty ones give (frozenset(),) (empty)."""
+    uniq = set(map(frozenset, faces))
+    keep = [f for f in uniq if not any(f < g for g in uniq)]
+    keep.sort(key=lambda f: tuple(sorted(f)))
+    return tuple(keep)
 
 
 def brute_faces(facets):
@@ -475,3 +486,15 @@ def pair_index(q, i, j):
 def variable(table, k):
     """The k-th variable of a table as a monomial."""
     return Monomial(table, [int(j == k) for j in range(table.n)])
+
+
+def pair_extremal_ideal(q):
+    """The pair-extremal ideal P_q over the variables x_i (i in [q]) and x_ij
+    (i < j): generator i is x_i times every x_ij whose pair holds i."""
+    pairs = list(combinations(range(1, q + 1), 2))
+    table = VariableTable([f"x{i}" for i in range(1, q + 1)] + [f"x{i}_{j}" for i, j in pairs])
+    gens = [
+        Monomial(table, [int(k == i) for k in range(1, q + 1)] + [int(i in p) for p in pairs])
+        for i in range(1, q + 1)
+    ]
+    return MonomialIdeal(table, gens)

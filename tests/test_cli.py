@@ -71,6 +71,17 @@ def test_usage_error_exit_code_of_the_module_entry_point():
     assert proc.returncode == 1 and "--bogus" in proc.stderr
 
 
+def test_python_dash_m_lsquare_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsquare", "betti", "--power", "2", "--format", "csv",
+         "x,y,z,w"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "beta,10,20,15,4" in proc.stdout.splitlines()
+
+
 def test_a_reader_that_closes_the_pipe_early_gets_a_quiet_exit_one():
     # as `lsquare betti ... | head -1`; the graded table of this q = 10 square
     # is about 75 kB, more than a pipe holds, so the writer is still writing

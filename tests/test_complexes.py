@@ -1,4 +1,5 @@
 import random
+import warnings
 from itertools import permutations
 
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     is_chordal_clique_complex,
     is_connected,
     leaf_by_definition,
+    maximalize,
     pair_index,
     reduced_homology_ranks,
     verify_leaf_order,
@@ -51,6 +53,33 @@ def random_complex(rng, max_vertices=8, max_facets=6, max_size=4):
 def test_facets_are_maximalized_and_canonical():
     delta = SimplicialComplex.from_facets([{1, 2}, {2}, {1, 2}, {3}])
     assert delta.facets == (frozenset({1, 2}), frozenset({3}))
+
+
+def test_facets_print_in_vertex_order_not_mask_order():
+    # over ids (1, 2, 3) the mask of {2} is below that of {1, 3}
+    delta = SimplicialComplex.from_facets([{1, 3}, {2}])
+    assert delta.facet_masks == (0b010, 0b101)
+    assert delta.facets == (frozenset({1, 3}), frozenset({2}))
+    assert str(delta) == "<{1,3}, {2}>"
+    assert complex_to_json(delta)["facets"] == [[1, 3], [2]]
+
+
+@given(
+    st.lists(st.frozensets(st.integers(0, 7), max_size=4), max_size=6),
+    st.frozensets(st.integers(0, 9)),
+)
+@settings(max_examples=300, deadline=None)
+def test_facets_match_the_frozenset_reference(faces, keep):
+    delta = SimplicialComplex.from_facets(faces)
+    assert delta.facets == maximalize(faces)
+    assert delta.is_void == (not faces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sub = induced_subcomplex(delta, keep)
+    assert sub.facets == maximalize(f & keep for f in maximalize(faces))
+    assert sub.is_void == delta.is_void
+    # the stored form is canonical, so equal complexes compare equal
+    assert sub == SimplicialComplex.from_facets(sub.facets)
 
 
 def test_void_and_empty_distinction():

@@ -335,6 +335,18 @@ def test_enumeration_cap_reports_the_estimate_when_enumeration_overruns():
     assert (err.value.estimate, err.value.limit) == (128, 100)
 
 
+def test_enumeration_cap_is_tested_once_per_member():
+    # 8 faces of 0b111, then 0b1100 adds 0b1100 and 0b1000 (0b100 is listed)
+    assert len(enumerate_face_masks([0b111, 0b1100], max_faces=10)) == 10
+    with pytest.raises(ResourceLimit) as err:
+        enumerate_face_masks([0b111, 0b1100], max_faces=9)
+    assert (err.value.estimate, err.value.limit) == (12, 9)
+    # a member with more faces than the cap trips it before it is listed
+    with pytest.raises(ResourceLimit) as err:
+        enumerate_face_masks([0b111], max_faces=7)
+    assert (err.value.estimate, err.value.limit) == (8, 7)
+
+
 def simplex_boundary(n):
     """Boundary of the simplex on n vertices: no vertex is dominated, so the
     strong-collapse core leaves it whole."""

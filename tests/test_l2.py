@@ -10,6 +10,7 @@ from lsquare.complexes import (
     induced_subcomplex,
     quasi_forest_order,
 )
+from lsquare.homology import RATIONALS, PrimeField
 from lsquare.l2 import (
     DeletionRecord,
     bound_table,
@@ -18,6 +19,7 @@ from lsquare.l2 import (
     l2_skeleton,
     pairs_of,
     skeleton_face_bound,
+    square_betti_numbers,
     taylor_face_bound,
 )
 from lsquare.labeled import betti_numbers
@@ -30,8 +32,10 @@ from lsquare.monomials import (
 from lsquare.randoms import sample_ideal
 
 from oracles import (
+    brute_faces,
     enumerated_f_vector,
     minimalize_pairwise,
+    pair_extremal_ideal,
     pair_index,
     verify_leaf_order,
 )
@@ -286,3 +290,40 @@ def test_sharpness_betti_equals_skeleton_f_vector(sharpness_ideal):
     lab, record = l2_of_ideal(sharpness_ideal)
     beta = betti_numbers(lab, sharpness_ideal.power(2))
     assert beta.as_vector() == [10, 27, 32, 19, 6, 1]
+
+
+# nonempty faces of L2(P_q), each carrying one graded Betti number of P_q^2
+PAIR_EXTREMAL_FACES = {1: 1, 2: 5, 3: 19, 4: 95, 5: 1103}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(2), PrimeField(3)], ids=str)
+@pytest.mark.parametrize("q", sorted(PAIR_EXTREMAL_FACES))
+def test_pair_extremal_square_is_minimally_resolved_by_l2(q, field):
+    # L2(P_q) deletes no pair, its face labels are distinct, and the graded
+    # table of the square is 1 at each face label and 0 elsewhere, so the
+    # skeleton bound is attained in every degree
+    ideal = pair_extremal_ideal(q)
+    lab, record = l2_of_ideal(ideal)
+    assert not record.deleted
+    beta = square_betti_numbers(lab, ideal.power(2), field)
+    top = comb(q + 1, 2)
+    assert beta.as_vector(top) == [skeleton_face_bound(q, d) for d in range(top + 1)]
+    faces = [f for f in brute_faces(lab.complex.facets) if f]
+    labels = {(len(f) - 1, lab.face_label(f)) for f in faces}
+    assert len({m for _, m in labels}) == len(faces) == PAIR_EXTREMAL_FACES[q]
+    assert beta.graded == dict.fromkeys(labels, 1)
+
+
+def test_pair_extremal_p4_is_the_sharpness_fixture(sharpness_ideal):
+    rename = dict(
+        zip(["x1", "x2", "x3", "x4", "x1_2", "x1_3", "x1_4", "x2_3", "x2_4", "x3_4"], "xyzwabcdef")
+    )
+
+    def supports(ideal, name=str):
+        assert ideal.is_squarefree()
+        return {
+            frozenset(name(ideal.table.names[k]) for k, e in enumerate(g.exponents) if e)
+            for g in ideal.gens
+        }
+
+    assert supports(pair_extremal_ideal(4), rename.get) == supports(sharpness_ideal)
