@@ -3,7 +3,6 @@
 from .complexes import (
     SimplicialComplex,
     f_vector,
-    induced_subcomplex,
     quasi_forest_order,
 )
 from .homology import (

@@ -9,7 +9,6 @@ both have no vertices, but they differ in reduced homology at -1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -92,24 +91,6 @@ def f_vector(
         for k in range(size):
             counts[k] += sign * comb(size, k + 1)
     return tuple(counts)
-
-
-def induced_subcomplex(delta: SimplicialComplex, keep: Iterable[int]) -> SimplicialComplex:
-    """Faces contained in `keep`, re-maximalized; the void complex stays void.
-    Unknown ids are ignored with a warning.  Each kept id is in a cut facet, so
-    the double transpose (`homology._transpose`) renumbers the cut facets
-    onto the kept ids; it drops the mask 0 of the empty complex."""
-    keep = frozenset(keep)
-    unknown = keep - delta.vertices
-    if unknown:
-        warnings.warn(
-            f"{len(unknown)} vertex id(s) not in the complex were ignored",
-            stacklevel=2,
-        )
-    kept = sum(1 << k for k, v in enumerate(delta.ids) if v in keep)
-    cut = _facet_masks([m & kept for m in delta.facet_masks])
-    ids = tuple(v for v in delta.ids if v in keep)
-    return SimplicialComplex(ids, tuple(hml._transpose(hml._transpose(cut))) or cut)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,11 @@ which is the transpose of its transpose (the proof is in `_transpose`).  The
 renumbering maps faces to faces and keeps the order of every face's vertices,
 so the boundary matrices of two cores that renumber alike are equal entry for
 entry, signs included, and so are their ranks over every field.  A caller
-that ranks many restrictions (`labeled.betti_numbers`) passes one memo of
-renumbered core -> ranks for the length of its call, and an equal core met
-again is not enumerated or ranked a second time.
+that ranks many restrictions (`labeled.betti_numbers`) passes one memo for
+the length of its call, keyed by the core's transpose: that is also the
+transpose of the renumbered core, and the renumbered core is its transpose,
+so each determines the other.  An equal core met again is not renumbered,
+enumerated or ranked a second time.
 
 Rank results are returned as dicts {dimension: rank} with keys running from -1
 (the augmentation spot) up to the complex dimension.  The void complex (no
@@ -421,9 +423,10 @@ def ranks_from_members(
     `limits.max_nerve_members` members.  Keys run from -1 to the dimension of
     the whole complex.
 
-    `memo`, when given, maps renumbered cores to the ranks of their faces, and
-    a core found in it is not ranked again.  A caller keeps one memo for one
-    field and one `limits`, since the ranks and the route depend on them.
+    `memo`, when given, maps the transpose of each core, which fixes the
+    renumbered core and is fixed by it, to the ranks of its faces, and a core
+    found in it is not ranked again.  A caller keeps one memo for one field
+    and one `limits`, since the ranks and the route depend on them.
     """
     members = list(members)
     if not members:
@@ -438,18 +441,17 @@ def ranks_from_members(
     if len(live) == 1:
         return out
     memo = {} if memo is None else memo
-    rows = _transpose(live)
-    core = tuple(_transpose(rows))
-    ranks = memo.get(core)
+    rows = tuple(_transpose(live))
+    ranks = memo.get(rows)
     if ranks is None:
-        family = list(core)
+        family = _transpose(rows)
         est = estimated_face_count(family)
         if est > limits.enumeration_budget and len(family) <= limits.max_nerve_members:
             nerve = maximal_masks(rows)
             if estimated_face_count(nerve) < est:
                 family = nerve
         faces = enumerate_face_masks(family, limits.max_faces)
-        ranks = memo[core] = ranks_from_face_masks(faces, field)
+        ranks = memo[rows] = ranks_from_face_masks(faces, field)
     for d, r in ranks.items():
         if d <= dim:
             out[d] = r

@@ -6,17 +6,19 @@ are one "row" per index i (all pairs containing i) plus the set of all
 off-diagonal pairs; for q <= 2 the off-diagonal set is swallowed by the rows.
 Labeling pair (i, j) of L2_q with the product of generators i and j of a
 square-free ideal I, and keeping the vertices whose products
-`monomials.minimalize` keeps, the last of equal products, produces the
-induced subcomplex L2(I) whose surviving labels are exactly the minimal
-generators of I^2.
+`monomials.minimalize` keeps, the last of equal products, gives L2(I): the
+induced subcomplex of L2_q on those vertices, whose labels are exactly the
+minimal generators of I^2.  `_pair_complex` builds both, L2(I) directly
+on its surviving pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable
 
-from .complexes import SimplicialComplex, induced_subcomplex
+from .complexes import SimplicialComplex
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
 from .labeled import (
     BettiTable,
@@ -35,19 +37,29 @@ def pairs_of(q: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, q + 1) for j in range(i, q + 1)]
 
 
-def l2_skeleton(q: int) -> SimplicialComplex:
-    """The pair complex on the ids of `pairs_of(q)`: q rows plus the off-diagonal facet."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+def _pair_complex(q: int, vertices: Iterable[tuple[int, tuple[int, int]]]) -> SimplicialComplex:
+    """The q rows (row i holds the pairs containing i) and the off-diagonal
+    facet over the given (id, (i, j)) vertices, which hold every diagonal pair.
+
+    A facet of L2_q cut to a vertex set is the facet built here from the
+    vertices in it, so on some pairs of `pairs_of(q)` this is the induced
+    subcomplex of `l2_skeleton(q)`; no row is empty, so no vertex is lost."""
     rows: list[set[int]] = [set() for _ in range(q)]
     off_diagonal: set[int] = set()
-    for k, (i, j) in enumerate(pairs_of(q)):
+    for k, (i, j) in vertices:
         rows[i - 1].add(k)
         rows[j - 1].add(k)
         if i != j:
             off_diagonal.add(k)
-    # for q <= 2 the off-diagonal set is a face of a row, not a facet
-    return SimplicialComplex.from_facets(c for c in [*rows, off_diagonal] if c)
+    # the off-diagonal set may be empty or a face of a row (always for q <= 2)
+    return SimplicialComplex.from_facets([*rows, off_diagonal])
+
+
+def l2_skeleton(q: int) -> SimplicialComplex:
+    """The pair complex on the ids of `pairs_of(q)`: q rows plus the off-diagonal facet."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    return _pair_complex(q, enumerate(pairs_of(q)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,8 @@ class DeletionRecord:
 
 
 def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
-    """The labeled induced subcomplex of the skeleton specialized to a square-free ideal.
+    """L2(I): the labeled induced subcomplex of the skeleton on the pairs that
+    survive for a square-free ideal, built on those pairs directly.
 
     Each pair product g_i * g_j is computed once, into one list in the order
     of `pairs_of(q)`, whose positions are the vertex ids: vertex k is labeled
@@ -114,7 +127,7 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     record = DeletionRecord(q, frozenset(pairs[k] for k in deleted))
 
     survivors = sorted(kept)
-    sub = induced_subcomplex(l2_skeleton(q), survivors)
+    sub = _pair_complex(q, ((k, pairs[k]) for k in survivors))
     labels = {k: products[k] for k in survivors}
     return LabeledComplex(sub, labels, ideal.table), record
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import add, le
 
 from . import complexes as cx
 from . import l2
@@ -149,21 +150,21 @@ class SweepReport:
 
 def generator_triple_property(ideal: MonomialIdeal) -> CheckResult:
     """Brute force, for r = 2 and 3: a pure power of one generator and a
-    product of r generators only divide each other when all indices agree."""
-    import itertools
-
-    gens = ideal.gens
+    product of r generators only divide each other when all indices agree.
+    Products and divisibility are taken on the exponent tuples."""
+    exps = [g.exponents for g in ideal.gens]
     for r in (2, 3):
         products = {}
-        for combo in itertools.combinations_with_replacement(range(len(gens)), r):
-            prod = gens[combo[0]]
+        for combo in combinations_with_replacement(range(len(exps)), r):
+            prod = exps[combo[0]]
             for k in combo[1:]:
-                prod = prod * gens[k]
+                prod = tuple(map(add, prod, exps[k]))
             products[combo] = prod
-        for i in range(len(gens)):
+        for i in range(len(exps)):
             gr = products[(i,) * r]
             for combo, prod in products.items():
-                if (gr.divides(prod) or prod.divides(gr)) and combo != (i,) * r:
+                divides = all(map(le, gr, prod)) or all(map(le, prod, gr))
+                if divides and combo != (i,) * r:
                     return CheckResult(
                         "generator-power-triples",
                         False,
@@ -174,12 +175,15 @@ def generator_triple_property(ideal: MonomialIdeal) -> CheckResult:
 
 def partner_generator_property(ideal: MonomialIdeal) -> CheckResult:
     """Brute force: each generator index i has a partner j so that no product
-    avoiding both indices divides the product of generators i and j."""
-    gens = ideal.gens
-    q = len(gens)
+    avoiding both indices divides the product of generators i and j.
+    Products and divisibility are taken on the exponent tuples."""
+    exps = [g.exponents for g in ideal.gens]
+    q = len(exps)
     if q < 2:
         return CheckResult("irredundant-partner", True)
-    product = {(u, v): gens[u] * gens[v] for u in range(q) for v in range(u, q)}
+    product = {
+        (u, v): tuple(map(add, exps[u], exps[v])) for u in range(q) for v in range(u, q)
+    }
     for i in range(q):
         found = False
         for j in range(q):
@@ -191,7 +195,7 @@ def partner_generator_property(ideal: MonomialIdeal) -> CheckResult:
                 for v in range(u, q):
                     if {u, v} & {i, j}:
                         continue
-                    if product[u, v].divides(pij):
+                    if all(map(le, product[u, v], pij)):
                         ok = False
                         break
                 if not ok:

@@ -9,22 +9,27 @@ time, facets are maximalized by pairwise comparison of frozensets, and the
 quasi-forest references search every leaf order or test the chordal-graph
 characterization directly.
 
-Four kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
+Five kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
 assembles every boundary map on a position table (faces of each dimension
 numbered in ascending mask order) and ranks it in full on the package's
 `matrix_rank`, so a test can isolate both the mask-keyed rows and the
 clearing; `forced_ranks` runs one of the package's two face routes on the
 unreduced family, so a test can compare the routes; `unmemoized_betti_numbers`
 ranks every restriction with the package's `ranks_from_members` and no memo,
-so a test can isolate the memo; and the small helpers at the end
+so a test can isolate the memo; `induced_subcomplex` cuts the facet masks
+and renumbers them by the package's double `_transpose`, the reference that
+`l2_of_ideal`, which builds L2(I) on its surviving pairs, is checked against;
+and the small helpers at the end
 (`reduced_homology_ranks`, `is_connected`, `delete_vertex`, `top_label`,
 `pair_index`, `variable`, ...) are conveniences only the tests use.
 """
 
+import warnings
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
-from lsquare.complexes import SimplicialComplex, induced_subcomplex
+from lsquare.complexes import SimplicialComplex, _facet_masks
 from lsquare.homology import (
     DEFAULT_LIMITS,
     RATIONALS,
@@ -451,6 +456,24 @@ def is_connected(delta):
     if result is None:
         raise ValueError("connectivity is undefined for a complex with no vertices")
     return result
+
+
+def induced_subcomplex(delta: SimplicialComplex, keep: Iterable[int]) -> SimplicialComplex:
+    """Faces contained in `keep`, re-maximalized; the void complex stays void.
+    Unknown ids are ignored with a warning.  Each kept id is in a cut facet, so
+    the double transpose (`_transpose`) renumbers the cut facets
+    onto the kept ids; it drops the mask 0 of the empty complex."""
+    keep = frozenset(keep)
+    unknown = keep - delta.vertices
+    if unknown:
+        warnings.warn(
+            f"{len(unknown)} vertex id(s) not in the complex were ignored",
+            stacklevel=2,
+        )
+    kept = sum(1 << k for k, v in enumerate(delta.ids) if v in keep)
+    cut = _facet_masks([m & kept for m in delta.facet_masks])
+    ids = tuple(v for v in delta.ids if v in keep)
+    return SimplicialComplex(ids, tuple(_transpose(_transpose(cut))) or cut)
 
 
 def delete_vertex(delta, v):

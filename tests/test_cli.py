@@ -649,14 +649,19 @@ def test_verify_stops_on_a_huge_facet_nerve(monkeypatch, capsys):
              "acdfmn,abdefgjkln,adefkm,bdfhjkmn"],
             "build_l2_q12.txt",
         ),
+        # q <= 2, where the off-diagonal facet is empty or inside a row
+        (["build-l2", "--format", "table", "x"], "build_l2_single.txt"),
+        (["build-l2", "--format", "json", "ab,bc"], "build_l2_two.json"),
+        (["build-l2", "--format", "table", "ab,bc"], "build_l2_two.txt"),
     ],
 )
 def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, name):
     # the betti and verify files were recorded before the lattice walks moved
     # to exponent tuples, the build-l2 JSON files before the pair vertices were
-    # numbered by position alone, and the build-l2 tables before the pairs
-    # became plain tuples; a change to any walk, order, count, vertex id, label
-    # or printed pair name shows here
+    # numbered by position alone, the build-l2 tables before the pairs became
+    # plain tuples, and the q <= 2 files before L2(I) was built on its
+    # surviving pairs; a change to any walk, order, count, vertex id, label,
+    # facet or printed pair name shows here
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (DATA / name).read_text()

@@ -10,7 +10,6 @@ from lsquare.complexes import (
     complex_from_json,
     complex_to_json,
     f_vector,
-    induced_subcomplex,
     quasi_forest_order,
 )
 from lsquare.homology import HomologyLimits, ResourceLimit
@@ -23,6 +22,7 @@ from oracles import (
     empty_or_connected,
     enumerated_f_vector,
     faces_by_dim,
+    induced_subcomplex,
     is_chordal_clique_complex,
     is_connected,
     leaf_by_definition,

@@ -5,11 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lsquare.complexes import (
-    f_vector,
-    induced_subcomplex,
-    quasi_forest_order,
-)
+from lsquare.complexes import f_vector, quasi_forest_order
 from lsquare.homology import RATIONALS, PrimeField
 from lsquare.l2 import (
     DeletionRecord,
@@ -34,6 +30,7 @@ from lsquare.randoms import sample_ideal
 from oracles import (
     brute_faces,
     enumerated_f_vector,
+    induced_subcomplex,
     minimalize_pairwise,
     pair_extremal_ideal,
     pair_index,
@@ -153,10 +150,10 @@ def test_labels_are_the_square_generators():
         assert record.s == square.q
         assert all(i != j for i, j in record.deleted)
         assert sum(record.t) == 2 * len(record.deleted)
-        # the complex is the induced subcomplex of the skeleton on survivors
-        sk = l2_skeleton(ideal.q)
-        survivors = set(lab.complex.vertices)
-        assert lab.complex == induced_subcomplex(sk, survivors)
+        # the complex is the induced subcomplex of the skeleton on the pairs
+        # the record keeps, so a wrong vertex set shows too
+        survivors = [k for k, p in enumerate(pairs_of(ideal.q)) if p not in record.deleted]
+        assert lab.complex == induced_subcomplex(l2_skeleton(ideal.q), survivors)
 
 
 @st.composite
@@ -189,7 +186,11 @@ def test_l2_of_ideal_deletes_what_the_pairwise_oracle_drops(ideal):
         for k, p in enumerate(products)
         if p not in minimal or p in products[k + 1 :]
     }
-    assert l2_of_ideal(ideal)[1].deleted == expected
+    lab, record = l2_of_ideal(ideal)
+    assert record.deleted == expected
+    # and the complex is the skeleton's induced subcomplex on the kept pairs
+    kept = [k for k, p in enumerate(pairs) if p not in record.deleted]
+    assert lab.complex == induced_subcomplex(l2_skeleton(ideal.q), kept)
 
 
 def test_l2_of_ideal_builds_no_square(monkeypatch):
