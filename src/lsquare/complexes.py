@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import homology as hml
 from .homology import DEFAULT_LIMITS, HomologyLimits
@@ -147,52 +147,3 @@ def quasi_forest_order(delta: SimplicialComplex) -> list[frozenset] | None:
         peeled.append(leaf)
     return [frozenset(faces[m]) for m in reversed(peeled)]
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization: {"vertices": [...], "facets": [[...]], "labels": {...}}.
-# ---------------------------------------------------------------------------
-
-
-def complex_to_json(
-    delta: SimplicialComplex, labels: Mapping[int, str] | None = None
-) -> dict:
-    obj: dict = {
-        "vertices": list(delta.ids),
-        "facets": [sorted(f) for f in delta.facets],
-    }
-    if labels is not None:
-        obj["labels"] = {str(v): labels[v] for v in sorted(labels)}
-    return obj
-
-
-def _vertex_id(v) -> int:
-    """An integer or integer string as a vertex id; 0.7 is not read as 0."""
-    if isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"vertex id {v} is not an integer")
-    return int(v)
-
-
-def _entry(obj: Mapping, key: str, read, default=None):
-    """read(obj[key]), or `default` when the key is absent or null; an entry
-    of the wrong shape is a ValueError naming its key."""
-    try:
-        return default if obj.get(key) is None else read(obj[key])
-    except (TypeError, ValueError, AttributeError, OverflowError):
-        raise ValueError(f"complex JSON has a malformed {key!r} entry") from None
-
-
-def complex_from_json(obj: Mapping) -> tuple[SimplicialComplex, dict[int, str] | None]:
-    """The complex and its labels, if given; a declared vertex in no facet
-    is isolated, a singleton facet, and label keys naming one vertex clash."""
-    if not isinstance(obj, Mapping) or obj.get("facets") is None:
-        raise ValueError("complex JSON must be an object with a 'facets' entry")
-    facets = _entry(obj, "facets", lambda fs: [frozenset(map(_vertex_id, f)) for f in fs])
-    points = _entry(
-        obj, "vertices", lambda vs: [frozenset([_vertex_id(v)]) for v in vs], []
-    )
-    labels = _entry(obj, "labels", lambda raw: {int(k): str(v) for k, v in raw.items()})
-    if labels is not None and len(labels) < len(obj["labels"]):
-        ids = [int(k) for k in obj["labels"]]
-        clash = [k for k, v in zip(obj["labels"], ids) if ids.count(v) > 1]
-        raise ValueError(f"complex JSON label keys {clash} name one vertex")
-    return SimplicialComplex.from_facets(facets + points), labels

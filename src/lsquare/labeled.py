@@ -10,10 +10,14 @@ gives a second, independent route to the same verdict.
 The multigraded Betti numbers of the ideal are then read off the supported
 complex: beta_{d,m} is the reduced homology rank in dimension d-1 of the
 subcomplex of faces whose label strictly divides m.
+
+`labeled_to_json` and `labeled_from_json` are the one writer and reader of
+the complex file that `--complex` takes and `build-l2 --format json` writes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -23,7 +27,7 @@ from . import complexes as cx
 from . import homology as hml
 from .complexes import SimplicialComplex
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
-from .monomials import Monomial, MonomialIdeal, VariableTable
+from .monomials import Monomial, MonomialIdeal, VariableTable, parse_monomial
 
 
 class NotQuasiForest(ValueError):
@@ -274,23 +278,53 @@ def betti_numbers(
     return BettiTable(total, graded)
 
 
-# JSON for labeled complexes reuses the complex schema with labels as strings.
+# JSON: {"vertices": [...], "facets": [[...]], "labels": {"id": "monomial"}}.
 
 
 def labeled_to_json(lab: LabeledComplex) -> dict:
-    return cx.complex_to_json(
-        lab.complex, {v: str(lab.labels[v]) for v in lab.complex.vertices}
-    )
+    ids = lab.complex.ids
+    return {
+        "vertices": list(ids),
+        "facets": [sorted(f) for f in lab.complex.facets],
+        "labels": {str(v): str(lab.labels[v]) for v in ids},
+    }
+
+
+def _vertex_id(v) -> int:
+    """An integer or integer string as a vertex id; 0.7 is not read as 0."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"vertex id {v} is not an integer")
+    return int(v)
+
+
+def _entry(obj: Mapping, key: str, read, default=None):
+    """read(obj[key]), or `default` when the key is absent or null; an entry
+    of the wrong shape is a ValueError naming its key."""
+    try:
+        return default if obj.get(key) is None else read(obj[key])
+    except (TypeError, ValueError, AttributeError, OverflowError):
+        raise ValueError(f"complex JSON has a malformed {key!r} entry") from None
 
 
 def labeled_from_json(obj: Mapping, table: VariableTable) -> LabeledComplex:
-    from .monomials import parse_monomial
-
-    delta, raw = cx.complex_from_json(obj)
+    """The labeled complex a `labeled_to_json` object describes; a declared
+    vertex in no facet is isolated, a singleton facet, label keys naming one
+    vertex clash, and unknown keys are ignored."""
+    if not isinstance(obj, Mapping) or obj.get("facets") is None:
+        raise ValueError("complex JSON must be an object with a 'facets' entry")
+    facets = _entry(obj, "facets", lambda fs: [frozenset(map(_vertex_id, f)) for f in fs])
+    points = _entry(
+        obj, "vertices", lambda vs: [frozenset([_vertex_id(v)]) for v in vs], []
+    )
+    raw = _entry(obj, "labels", lambda raw: {int(k): str(v) for k, v in raw.items()})
     if raw is None:
         raise ValueError("labeled complex JSON requires a 'labels' entry")
+    if len(raw) < len(obj["labels"]):
+        count = Counter(int(k) for k in obj["labels"])
+        clash = [k for k in obj["labels"] if count[int(k)] > 1]
+        raise ValueError(f"complex JSON label keys {clash} name one vertex")
     try:
         labels = {v: parse_monomial(s, table) for v, s in raw.items()}
     except ValueError as exc:
         raise ValueError(f"complex JSON has a malformed 'labels' entry: {exc}") from None
-    return LabeledComplex(delta, labels, table)
+    return LabeledComplex(SimplicialComplex.from_facets(facets + points), labels, table)

@@ -396,6 +396,8 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
         ({"facets": 5}, "'facets'"),
         ({"facets": [5]}, "'facets'"),
         ({"facets": [["a"]]}, "'facets'"),
+        ({"facets": [[0, 1]]}, "'labels'"),
+        ({"facets": [[0, 1]], "labels": None}, "'labels'"),
         ({"facets": [[0, 1]], "labels": ["x", "y"]}, "'labels'"),
         ({"facets": [[0, 1]], "vertices": 3, "labels": labels}, "'vertices'"),
         ({"facets": [[0, 1]], "labels": {"0": 5, "1": "y"}}, "'labels'"),
@@ -431,6 +433,16 @@ def test_label_keys_that_name_one_vertex_are_an_error(tmp_path, capsys, command)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert "'0'" in err and "'00'" in err
+
+
+def test_a_clash_among_many_label_keys_is_found_without_pairwise_counting(tmp_path):
+    # counting each of 100 000 keys among all the others took minutes
+    labels = {str(k): "x" for k in range(100_000)}
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps({"facets": [[0]], "labels": {**labels, "00": "x"}}))
+    code, out, err = run_bounded("betti", "--complex", str(path), "x", seconds=10)
+    assert code == 1 and out == ""
+    assert err == "error: complex JSON label keys ['0', '00'] name one vertex\n"
 
 
 def test_resource_cap_exit_three(capsys):

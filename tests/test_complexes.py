@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from lsquare.complexes import (
     SimplicialComplex,
-    complex_from_json,
-    complex_to_json,
     f_vector,
     quasi_forest_order,
 )
@@ -61,7 +59,6 @@ def test_facets_print_in_vertex_order_not_mask_order():
     assert delta.facet_masks == (0b010, 0b101)
     assert delta.facets == (frozenset({1, 3}), frozenset({2}))
     assert str(delta) == "<{1,3}, {2}>"
-    assert complex_to_json(delta)["facets"] == [[1, 3], [2]]
 
 
 @given(
@@ -321,17 +318,3 @@ def test_euler_characteristic_consistency(facets):
         (-1) ** d * r for d, r in ranks.items() if d >= 0
     )
     assert lhs == rhs
-
-
-def test_json_round_trip():
-    delta = SimplicialComplex.from_facets([{1, 2}, {3}])
-    obj = complex_to_json(delta, labels={1: "a", 2: "b", 3: "c"})
-    back, labels = complex_from_json(obj)
-    assert back == delta
-    assert labels == {1: "a", 2: "b", 3: "c"}
-
-
-def test_json_restores_isolated_vertices():
-    obj = {"vertices": [1, 2, 5], "facets": [[1, 2]]}
-    back, _ = complex_from_json(obj)
-    assert back.vertices == {1, 2, 5}

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lsquare.complexes import SimplicialComplex, f_vector
 from lsquare.homology import PrimeField, RATIONALS
-from lsquare.l2 import l2_of_ideal
+from lsquare.l2 import l2_of_ideal, pairs_of
 from lsquare.labeled import (
     LabeledComplex,
     NotQuasiForest,
@@ -464,8 +465,52 @@ def test_field_round_trip_and_betti_json():
 
 
 def test_labeled_json_round_trip():
-    I, _ = parse_ideal("abe,bc,cdf,ad")
-    lab, _ = l2_of_ideal(I)
-    again = labeled_from_json(labeled_to_json(lab), I.table)
-    assert again.complex == lab.complex
-    assert dict(again.labels) == dict(lab.labels)
+    # 200 draws give L2(I) complexes whose vertex ids have gaps after the
+    # deletions; build-l2 adds "pairs" and "deletion", which are ignored
+    rng = random.Random(7)
+    gaps = 0
+    for _ in range(200):
+        ideal = sample_ideal(rng, 7, 6)
+        l2, record = l2_of_ideal(ideal)
+        pairs = pairs_of(ideal.q)
+        extra = {
+            "pairs": {str(k): list(pairs[k]) for k in l2.complex.ids},
+            "deletion": record.to_json(),
+        }
+        gaps += l2.complex.ids != tuple(range(len(l2.complex.ids)))
+        for lab in (l2, taylor_complex(ideal)):
+            text = json.dumps(labeled_to_json(lab))
+            for obj in (json.loads(text), {**json.loads(text), **extra}):
+                again = labeled_from_json(obj, ideal.table)
+                assert again.complex == lab.complex, ideal
+                assert dict(again.labels) == dict(lab.labels), ideal
+                assert json.dumps(labeled_to_json(again)) == text, ideal
+    assert gaps
+
+
+def test_json_round_trip():
+    abc = VariableTable(("a", "b", "c"))
+    delta = SimplicialComplex.from_facets([{1, 2}, {3}])
+    labels = {1: mono("a", abc), 2: mono("b", abc), 3: mono("c", abc)}
+    obj = labeled_to_json(LabeledComplex(delta, labels, abc))
+    assert obj["labels"] == {"1": "a", "2": "b", "3": "c"}
+    back = labeled_from_json(obj, abc)
+    assert back.complex == delta
+    assert {v: str(m) for v, m in back.labels.items()} == {1: "a", 2: "b", 3: "c"}
+
+
+def test_json_restores_isolated_vertices():
+    obj = {
+        "vertices": [1, 2, 5],
+        "facets": [[1, 2]],
+        "labels": {"1": "x", "2": "y", "5": "z"},
+    }
+    back = labeled_from_json(obj, XYZ)
+    assert back.complex.vertices == {1, 2, 5}
+
+
+def test_json_facets_print_in_vertex_order_not_mask_order():
+    # over ids (1, 2, 3) the mask of {2} is below that of {1, 3}
+    delta = SimplicialComplex.from_facets([{1, 3}, {2}])
+    labels = {1: mono("x"), 2: mono("y"), 3: mono("z")}
+    assert labeled_to_json(LabeledComplex(delta, labels, XYZ))["facets"] == [[1, 3], [2]]
