@@ -20,7 +20,6 @@ from .l2 import (
     bound_table,
     deletion_face_bound,
     l2_of_ideal,
-    l2_skeleton,
     pairs_of,
     skeleton_face_bound,
     taylor_face_bound,

@@ -8,15 +8,15 @@ Labeling pair (i, j) of L2_q with the product of generators i and j of a
 square-free ideal I, and keeping the vertices whose products
 `monomials.minimalize` keeps, the last of equal products, gives L2(I): the
 induced subcomplex of L2_q on those vertices, whose labels are exactly the
-minimal generators of I^2.  `_pair_complex` builds both, L2(I) directly
-on its surviving pairs.
+minimal generators of I^2.  `l2_of_ideal` builds L2(I) directly on its
+surviving pairs; L2_q is L2 of the ideal of q distinct variables, where no
+pair product is redundant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
 
 from .complexes import SimplicialComplex
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
@@ -35,31 +35,6 @@ def pairs_of(q: int) -> list[tuple[int, int]]:
     """The pairs (i, j), 1 <= i <= j <= q, as tuples in lexicographic order; a
     pair's position in this list is its vertex id in every complex built here."""
     return [(i, j) for i in range(1, q + 1) for j in range(i, q + 1)]
-
-
-def _pair_complex(q: int, vertices: Iterable[tuple[int, tuple[int, int]]]) -> SimplicialComplex:
-    """The q rows (row i holds the pairs containing i) and the off-diagonal
-    facet over the given (id, (i, j)) vertices, which hold every diagonal pair.
-
-    A facet of L2_q cut to a vertex set is the facet built here from the
-    vertices in it, so on some pairs of `pairs_of(q)` this is the induced
-    subcomplex of `l2_skeleton(q)`; no row is empty, so no vertex is lost."""
-    rows: list[set[int]] = [set() for _ in range(q)]
-    off_diagonal: set[int] = set()
-    for k, (i, j) in vertices:
-        rows[i - 1].add(k)
-        rows[j - 1].add(k)
-        if i != j:
-            off_diagonal.add(k)
-    # the off-diagonal set may be empty or a face of a row (always for q <= 2)
-    return SimplicialComplex.from_facets([*rows, off_diagonal])
-
-
-def l2_skeleton(q: int) -> SimplicialComplex:
-    """The pair complex on the ids of `pairs_of(q)`: q rows plus the off-diagonal facet."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return _pair_complex(q, enumerate(pairs_of(q)))
 
 
 @dataclass(frozen=True)
@@ -126,9 +101,18 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
         raise AssertionError("a diagonal product compared equal or divisible")
     record = DeletionRecord(q, frozenset(pairs[k] for k in deleted))
 
-    survivors = sorted(kept)
-    sub = _pair_complex(q, ((k, pairs[k]) for k in survivors))
-    labels = {k: products[k] for k in survivors}
+    # every diagonal pair is kept, so no row is empty and no vertex is lost;
+    # the off-diagonal set may be empty or a face of a row (always for q <= 2)
+    rows: list[set[int]] = [set() for _ in range(q)]
+    off_diagonal: set[int] = set()
+    for k in kept:
+        i, j = pairs[k]
+        rows[i - 1].add(k)
+        rows[j - 1].add(k)
+        if i != j:
+            off_diagonal.add(k)
+    sub = SimplicialComplex.from_facets([*rows, off_diagonal])
+    labels = {k: products[k] for k in sorted(kept)}
     return LabeledComplex(sub, labels, ideal.table), record
 
 

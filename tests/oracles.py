@@ -5,9 +5,10 @@ beyond its value types: faces come from itertools over explicit vertex tuples,
 matrices are dense lists, ranks are computed with Fraction (or mod-p) Gaussian
 elimination, restrictions filter explicit faces by their labels, the nerve is
 grown level by level over shared vertices, renumbering maps vertices one at a
-time, facets are maximalized by pairwise comparison of frozensets, and the
-quasi-forest references search every leaf order or test the chordal-graph
-characterization directly.
+time, facets are maximalized by pairwise comparison of frozensets, the skeleton
+L2_q (`l2_skeleton`) is built from its definition on the closed-form pair
+positions, and the quasi-forest references search every leaf order or test
+the chordal-graph characterization directly.
 
 Five kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
 assembles every boundary map on a position table (faces of each dimension
@@ -506,9 +507,27 @@ def pair_index(q, i, j):
     return (i - 1) * q - (i - 1) * (i - 2) // 2 + (j - i)
 
 
+def l2_skeleton(q):
+    """L2_q from its definition: the q rows {pair_index(q, i, j) : j in [q]}
+    and the set of off-diagonal pairs, maximalized pairwise (for q <= 2 the
+    rows swallow the off-diagonal set)."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    rows = [{pair_index(q, i, j) for j in range(1, q + 1)} for i in range(1, q + 1)]
+    off_diagonal = {pair_index(q, i, j) for i, j in combinations(range(1, q + 1), 2)}
+    return SimplicialComplex.from_facets(maximalize([*rows, off_diagonal]))
+
+
 def variable(table, k):
     """The k-th variable of a table as a monomial."""
     return Monomial(table, [int(j == k) for j in range(table.n)])
+
+
+def variables_ideal(q):
+    """The ideal of the q distinct variables x1..xq: no pair product is
+    redundant, so its L2 is the skeleton L2_q."""
+    table = VariableTable([f"x{i}" for i in range(1, q + 1)])
+    return MonomialIdeal(table, [variable(table, k) for k in range(q)])
 
 
 def pair_extremal_ideal(q):

@@ -16,7 +16,6 @@ from lsquare.homology import PrimeField, RATIONALS
 from lsquare.l2 import (
     deletion_face_bound,
     l2_of_ideal,
-    l2_skeleton,
     taylor_face_bound,
 )
 from lsquare.labeled import (
@@ -30,6 +29,8 @@ from oracles import (
     backtrack_leaf_order,
     betti_upper_bounds,
     is_chordal_clique_complex,
+    l2_skeleton,
+    variables_ideal,
     verify_leaf_order,
 )
 
@@ -133,7 +134,7 @@ def test_criterion_6_sharpness(sharpness_ideal):
         lab, record = l2_of_ideal(sharpness_ideal)
         assert not record.deleted
         beta = betti_numbers(lab, sharpness_ideal.power(2))
-        skeleton_fv = f_vector(l2_skeleton(4))
+        skeleton_fv = f_vector(l2_of_ideal(variables_ideal(4))[0].complex)
         assert beta.as_vector() == [10, 27, 32, 19, 6, 1]
         assert beta.as_vector() == list(skeleton_fv)
 
@@ -145,7 +146,7 @@ def test_criterion_7_structural(sweep_ideals, sweep_results):
         "on 200 complexes"
     ):
         for q in range(1, 9):
-            order = quasi_forest_order(l2_skeleton(q))
+            order = quasi_forest_order(l2_of_ideal(variables_ideal(q))[0].complex)
             assert order is not None and verify_leaf_order(order)
         for ideal, checks in zip(sweep_ideals, sweep_results):
             by_name = {c.name: c for c in checks}

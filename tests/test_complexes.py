@@ -11,7 +11,7 @@ from lsquare.complexes import (
     quasi_forest_order,
 )
 from lsquare.homology import HomologyLimits, ResourceLimit
-from lsquare.l2 import l2_skeleton, skeleton_face_bound
+from lsquare.l2 import skeleton_face_bound
 
 from oracles import (
     backtrack_leaf_order,
@@ -23,6 +23,7 @@ from oracles import (
     induced_subcomplex,
     is_chordal_clique_complex,
     is_connected,
+    l2_skeleton,
     leaf_by_definition,
     maximalize,
     pair_index,

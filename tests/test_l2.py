@@ -12,7 +12,6 @@ from lsquare.l2 import (
     bound_table,
     deletion_face_bound,
     l2_of_ideal,
-    l2_skeleton,
     pairs_of,
     skeleton_face_bound,
     square_betti_numbers,
@@ -31,11 +30,18 @@ from oracles import (
     brute_faces,
     enumerated_f_vector,
     induced_subcomplex,
+    l2_skeleton,
     minimalize_pairwise,
     pair_extremal_ideal,
     pair_index,
+    variables_ideal,
     verify_leaf_order,
 )
+
+
+def skeleton(q):
+    """L2_q as the package builds it: L2 of the ideal of q variables."""
+    return l2_of_ideal(variables_ideal(q))[0].complex
 
 
 def test_pair_index_matches_enumeration():
@@ -48,32 +54,30 @@ def test_pair_index_matches_enumeration():
 
 
 def test_skeleton_small_cases():
-    with pytest.raises(ValueError):
-        l2_skeleton(0)
-    assert [sorted(f) for f in l2_skeleton(1).facets] == [[0]]
+    assert [sorted(f) for f in skeleton(1).facets] == [[0]]
 
-    two = l2_skeleton(2)  # two segments sharing the off-diagonal vertex
+    two = skeleton(2)  # two segments sharing the off-diagonal vertex
     assert sorted(sorted(f) for f in two.facets) == [[0, 1], [1, 2]]
 
-    three = l2_skeleton(3)
+    three = skeleton(3)
     assert len(three.facets) == 4
     assert sorted(len(f) for f in three.facets) == [3, 3, 3, 3]
 
-    four = l2_skeleton(4)
+    four = skeleton(4)
     assert len(four.vertices) == 10 and len(four.facets) == 5
     assert sorted(len(f) - 1 for f in four.facets) == [3, 3, 3, 3, 5]
 
 
 def test_skeleton_face_counts_match_closed_form():
     for q in range(1, 7):
-        fv = f_vector(l2_skeleton(q))
+        fv = f_vector(skeleton(q))
         top = max(q * (q - 1) // 2 - 1, q - 1)
         assert list(fv) == [skeleton_face_bound(q, d) for d in range(top + 1)]
 
 
 def test_skeleton_quasi_forest_orders_up_to_eight():
     for q in range(1, 9):
-        sk = l2_skeleton(q)
+        sk = skeleton(q)
         order = quasi_forest_order(sk)
         assert order is not None and verify_leaf_order(order)
         if q >= 3:
@@ -121,6 +125,11 @@ def test_running_example_matches_vertex_deletion():
     assert lab.complex == delete_vertex(l2_skeleton(4), pair_index(4, 1, 3))
 
 
+def test_skeleton_oracle_needs_a_pair():
+    with pytest.raises(ValueError):
+        l2_skeleton(0)
+
+
 def test_no_deletion_examples():
     J, _ = parse_ideal("x,y,z,w")
     labJ, recJ = l2_of_ideal(J)
@@ -131,6 +140,18 @@ def test_no_deletion_examples():
     labS, recS = l2_of_ideal(S)
     assert not recS.deleted
     assert labS.complex == l2_skeleton(4)
+
+    # L2 of q variables and of the pair-extremal ideal P_q deletes no pair, is
+    # the skeleton built from its definition, and labels pair (i, j) g_i * g_j
+    ideals = [variables_ideal(q) for q in range(1, 10)]
+    ideals += [pair_extremal_ideal(q) for q in range(1, 7)]
+    for ideal in ideals:
+        q, gens = ideal.q, ideal.gens
+        lab, record = l2_of_ideal(ideal)
+        assert not record.deleted and record.s == comb(q + 1, 2)
+        assert lab.complex == l2_skeleton(q)
+        for i, j in pairs_of(q):
+            assert lab.labels[pair_index(q, i, j)] == gens[i - 1] * gens[j - 1]
 
 
 def test_l2_rejects_non_squarefree():
