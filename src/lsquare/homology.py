@@ -2,18 +2,21 @@
 
 The engine works on bitmasks: a complex is handed over as a list of "member"
 masks, each the vertex set of a simplex, whose union is the complex (the facet
-list is always such a family).  Two steps are used, cheapest first:
+list is always such a family).  Three steps are used, cheapest first:
 
+* exits: a family with no vertex and a member equal to the union of the
+  members (one simplex) are answered at once;
 * strong-collapse core: dominated vertices are deleted until none is left
-  (a vertex common to all members, a cone, is the one-step case); a core that
-  is a single simplex is acyclic;
+  (a vertex common to all maximal members, a cone, is the one-step case,
+  tested first); a core that is a single simplex is acyclic;
 * face enumeration of the core or of its transposed family (`_transpose`),
   whose faces form the nerve of the core, whichever has the smaller
   face-count estimate.  All nonempty intersections of simplexes on vertex
   subsets are simplexes, hence contractible, so the nerve has the same
   reduced homology.  The faces get sparse boundary matrices and exact ranks
   with one fraction-free elimination for every field (`matrix_rank`: integer
-  rows over Q, rows reduced mod p over GF(p)), from the top dimension down,
+  rows over Q, rows reduced mod p over GF(p); a face's column is built only
+  when a column reduces against it), from the top dimension down,
   leaving out every column that a pivot of the map above already shows to be
   dependent (clearing: a reduced column of d_d with smallest key c has zero
   boundary, so d(c) is a combination of the d(s) with s > c; the full proof
@@ -35,10 +38,12 @@ transpose of the renumbered core, and the renumbered core is its transpose,
 so each determines the other.  An equal core met again is not renumbered,
 enumerated or ranked a second time.
 
-Rank results are returned as dicts {dimension: rank} with keys running from -1
-(the augmentation spot) up to the complex dimension.  The void complex (no
-faces at all) gives {}, and the complex whose only face is the empty set gives
-{-1: 1}.
+`ranks_from_members` returns the nonzero ranks only, as a dict {dimension:
+rank}: an acyclic complex and the void complex (no faces at all) give {},
+and the complex whose only face is the empty set gives {-1: 1}.  Most
+restrictions of a lattice walk are acyclic; those with a member that is the
+whole union leave before the maximal members are taken, and cones at the
+first step of the core.
 """
 
 from __future__ import annotations
@@ -159,9 +164,14 @@ def parse_field(spec: str) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def matrix_rank(columns: list[dict[int, int]], field: Field, pivots: set[int]) -> int:
-    """Rank over `field` of the matrix with the given columns, each a dict
-    {row key: nonzero integer entry}; row keys are ordered as integers.
+def matrix_rank(
+    columns: list[dict[int, int] | int], field: Field, pivots: set[int]
+) -> int:
+    """Rank over `field` of the matrix with the given columns; row keys are
+    ordered as integers.  A column is a dict {row key: nonzero integer entry},
+    or a nonzero face mask (an int) standing for the boundary of that face:
+    the entry at the mask minus its i-th lowest set bit is (-1)^i, counting
+    from i = 0, so its smallest key is the mask minus its top bit.
 
     One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves every
     field.  Each column is reduced against the stored pivots until its
@@ -170,24 +180,56 @@ def matrix_rank(columns: list[dict[int, int]], field: Field, pivots: set[int]) -
     and b the leading entries of the pivot and the column, a column is
     reduced by row - (b/a)*pivot when a is -1 or 1, and by a*row - b*pivot
     otherwise; scaling a column by a nonzero a keeps the span, so no fraction
-    arises.  Over Q a stored pivot and every a*row - b*pivot are divided by
-    the gcd of their entries, which keeps the integers small.  Over GF(p)
+    arises.  Over Q every a*row - b*pivot, and every column stored after a
+    reduction step, is divided by the gcd of its entries.  That division only
+    keeps the integers small (a nonzero multiple of a column spans the same
+    line), so a column that takes no step is stored as given.  Over GF(p)
     every entry is kept in 0..p-1, so entries that vanish mod p drop out, and
     -1 is p - 1: with p = 0 standing for Q, a is -1 or 1 exactly when it is
     p - 1 or 1.  Scaling GF(p) pivots to leading entry 1 was measured to be
     slower, since most columns of a boundary matrix become pivots after few
     steps.
+
+    Mask columns are built lazily, as the apparent pivots of Ripser (Bauer,
+    J. Appl. Comput. Topol. 5, 2021).  Proof that this changes no step.
+    Write t for the top bit of a face mask.  Each key of its boundary column
+    but mask - t still holds t, so it exceeds mask - t, whose bits all lie
+    below t: mask - t is the smallest key, with entry +1 or -1.  Built at
+    once, as `_boundary` builds it (-1 written p - 1, nonzero mod every p,
+    which is the column `{key: v % p}` that a dict column of +-1 entries
+    gives), the column would find no pivot at mask - t when that key is new,
+    take no reduction step, and be stored as it stands.  The loop stores the
+    mask there instead.  A stored pivot is read only when a later column
+    reduces against it, and only then is the mask built; `_boundary` depends
+    on the mask and p alone, so the column read is the one the eager loop
+    would have stored, entry for entry.  Before that read only the key is
+    used, and it is the same.  So every reduction step, the rank and the
+    pivot keys are those of the loop that builds every column on arrival;
+    a pivot that no column reaches is never built.
     """
     p = field.p if isinstance(field, PrimeField) else 0
-    reduced: dict[int, dict[int, int]] = {}
+    reduced: dict[int, dict[int, int] | int] = {}
     for column in columns:
-        row = {c: v % p for c, v in column.items() if v % p} if p else dict(column)
+        if isinstance(column, int):
+            c = column ^ 1 << column.bit_length() - 1
+            if c not in reduced:
+                reduced[c] = column
+                continue
+            row = _boundary(column, p)
+        elif p:
+            row = {c: v % p for c, v in column.items() if v % p}
+        else:
+            row = dict(column)
+        stepped = False
         while row:
             c = min(row)
             piv = reduced.get(c)
             if piv is None:
-                reduced[c] = row if p else _primitive(row)
+                reduced[c] = _primitive(row) if stepped and not p else row
                 break
+            if isinstance(piv, int):
+                piv = reduced[c] = _boundary(piv, p)
+            stepped = True
             a, f = piv[c], row[c]
             unit = a == 1 or a == p - 1
             if unit:
@@ -208,6 +250,19 @@ def matrix_rank(columns: list[dict[int, int]], field: Field, pivots: set[int]) -
                 row = _primitive(row)
     pivots.update(reduced)
     return len(reduced)
+
+
+def _boundary(mask: int, p: int) -> dict[int, int]:
+    """The boundary column of a face mask: the mask minus its i-th lowest set
+    bit maps to (-1)^i, written p - 1 for -1 (p = 0 for Q)."""
+    signs = (1, p - 1)
+    col, odd, rest = {}, 0, mask
+    while rest:
+        low = rest & -rest
+        col[mask ^ low] = signs[odd]
+        odd ^= 1
+        rest ^= low
+    return col
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -262,9 +317,10 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
     2011; Bauer, Kerber and Reininghaus, Clear and compress, 2014): a
     (d-1)-face that is a pivot of the reduced boundary map d_d is left out as
     a column of d_{d-1}, and the rank of d_{d-1} is the rank of the columns
-    that are kept.  Each face is its own row key, ordered by mask value, and
-    `matrix_rank` pivots every reduced column on its smallest key (the proof
-    below needs only some fixed total order on the rows).
+    that are kept.  Each kept face goes to `matrix_rank` as its mask, which
+    stands for its boundary column; each face is its own row key, ordered by
+    mask value, and `matrix_rank` pivots every reduced column on its smallest
+    key (the proof below needs only some fixed total order on the rows).
 
     Proof that clearing keeps the rank, over Q and every GF(p) alike.
     A reduced column R of d_d with pivot c is a combination of boundaries, so
@@ -284,16 +340,7 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
     boundary_rank: dict[int, int] = {}
     cleared: set[int] = set()
     for d in range(top, -1, -1):
-        columns = []
-        for mask in by_dim[d]:
-            if mask in cleared:
-                continue
-            col, sign, rest = {}, 1, mask
-            while rest:
-                low = rest & -rest
-                col[mask ^ low] = sign
-                sign, rest = -sign, rest ^ low
-            columns.append(col)
+        columns = [mask for mask in by_dim[d] if mask not in cleared]
         cleared = set()
         boundary_rank[d] = matrix_rank(columns, field, cleared)
 
@@ -412,34 +459,38 @@ def ranks_from_members(
     limits: HomologyLimits = DEFAULT_LIMITS,
     memo: dict | None = None,
 ) -> dict[int, int]:
-    """Reduced homology ranks of the union of simplexes on the given vertex masks.
+    """The nonzero reduced homology ranks {dimension: rank} of the union of
+    simplexes on the given vertex masks: {} for an acyclic union and for the
+    void complex (no members), {-1: 1} for the empty one (only zero masks).
 
-    The family is first shrunk to its `strong_core`, which has the same reduced
-    homology; a core that is one simplex is acyclic.  The core's vertices are
-    renumbered 0..k-1 in increasing order, and whichever of the core and its
-    transposed family (its nerve) has the smaller face-count estimate is
-    enumerated, the core on a tie.  The core is always enumerated when its
-    estimate is at most `limits.enumeration_budget` or it has more than
-    `limits.max_nerve_members` members.  Keys run from -1 to the dimension of
-    the whole complex.
+    Two exits come first.  No vertex gives {-1: 1}.  A member equal to the
+    union of the members gives {} before any other work, since the union is
+    that one simplex.  Otherwise the members are cut to `maximal_masks` and
+    shrunk to their `strong_core`, which has the same reduced homology and
+    whose first step is the cone test; a core that is one simplex is
+    acyclic.  The core's vertices are renumbered 0..k-1 in increasing order,
+    and whichever of the core and its transposed family (its nerve) has the
+    smaller face-count estimate is enumerated, the core on a tie.  The core
+    is always enumerated when its estimate is at most
+    `limits.enumeration_budget` or it has more than `limits.max_nerve_members`
+    members.
 
     `memo`, when given, maps the transpose of each core, which fixes the
-    renumbered core and is fixed by it, to the ranks of its faces, and a core
-    found in it is not ranked again.  A caller keeps one memo for one field
-    and one `limits`, since the ranks and the route depend on them.
+    renumbered core and is fixed by it, to the nonzero ranks of its faces,
+    and a core found in it is not ranked again.  A caller keeps one memo for
+    one field and one `limits`, since the ranks and the route depend on them.
     """
     members = list(members)
     if not members:
         return {}
-    live = maximal_masks(members)
-    if not live:
+    union = reduce(or_, members)
+    if not union:
         return {-1: 1}
-    dim = max(map(int.bit_count, live)) - 1
-    out = dict.fromkeys(range(-1, dim + 1), 0)
-
-    live = strong_core(live)
+    if union in members:
+        return {}
+    live = strong_core(maximal_masks(members))
     if len(live) == 1:
-        return out
+        return {}
     memo = {} if memo is None else memo
     rows = tuple(_transpose(live))
     ranks = memo.get(rows)
@@ -451,13 +502,12 @@ def ranks_from_members(
             if estimated_face_count(nerve) < est:
                 family = nerve
         faces = enumerate_face_masks(family, limits.max_faces)
-        ranks = memo[rows] = ranks_from_face_masks(faces, field)
-    for d, r in ranks.items():
-        if d <= dim:
-            out[d] = r
-        elif r:
-            raise AssertionError("homology above the complex dimension")
-    return out
+        ranks = memo[rows] = {
+            d: r for d, r in ranks_from_face_masks(faces, field).items() if r
+        }
+    if ranks and max(ranks) >= max(map(int.bit_count, members)):
+        raise AssertionError("homology above the complex dimension")
+    return dict(ranks)
 
 
 def connected_from_members(members) -> bool | None:

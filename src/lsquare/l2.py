@@ -37,16 +37,26 @@ def pairs_of(q: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, q + 1) for j in range(i, q + 1)]
 
 
+class DiagonalDeleted(ValueError):
+    """A deletion record holds a diagonal pair (i, i).  For a square-free
+    ideal no other pair product divides or equals a square g_i^2, so when
+    `l2_of_ideal` builds the record this is a fault in its deletion rule."""
+
+
 @dataclass(frozen=True)
 class DeletionRecord:
     """The pairs deleted when specializing the skeleton to an ideal, as (i, j)
-    tuples of `pairs_of(q)`; none is diagonal, so each has 1 <= i < j <= q."""
+    tuples of `pairs_of(q)`; none is diagonal, so each has 1 <= i < j <= q.
+    A diagonal pair raises `DiagonalDeleted`, any other pair out of that
+    range a plain ValueError."""
 
     q: int
     deleted: frozenset[tuple[int, int]]
 
     def __post_init__(self):
         for i, j in self.deleted:
+            if i == j:
+                raise DiagonalDeleted(f"diagonal pair ({i},{j}) deleted")
             if not 1 <= i < j <= self.q:
                 raise ValueError(f"deleted pair ({i},{j}) needs 1 <= i < j <= {self.q}")
 
@@ -81,11 +91,11 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     from products[k].  The vertices kept are the products `minimalize` keeps;
     of equal products the last position is kept, so the smaller position,
     whose pair is the lexicographically smaller, is deleted.  No diagonal pair
-    is ever deleted (asserted here).  By the paper's lemma the surviving
-    labels are exactly the minimal generators of I^2; the square itself is
-    not built here.  Every support criterion and `betti_numbers` check the
-    labels against the caller's square, and `verify` reports the comparison
-    as `labels-match-square`.
+    is ever deleted (`DeletionRecord` raises `DiagonalDeleted` if one is).
+    By the paper's lemma the surviving labels are exactly the minimal
+    generators of I^2; the square itself is not built here.  Every support
+    criterion and `betti_numbers` check the labels against the caller's
+    square, and `verify` reports the comparison as `labels-match-square`.
     """
     for g in ideal.gens:
         if not g.is_squarefree():
@@ -97,8 +107,6 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     last = {p: k for k, p in enumerate(products)}
     kept = {last[p] for p in minimalize(products)}
     deleted = [k for k in range(len(pairs)) if k not in kept]
-    if any(pairs[k][0] == pairs[k][1] for k in deleted):
-        raise AssertionError("a diagonal product compared equal or divisible")
     record = DeletionRecord(q, frozenset(pairs[k] for k in deleted))
 
     # every diagonal pair is kept, so no row is empty and no vertex is lost;

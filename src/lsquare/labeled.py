@@ -203,10 +203,9 @@ def supports_resolution_homological(
         if not any(members):
             continue
         ranks = hml.ranks_from_members(members, field, limits)
-        for d in sorted(ranks):
-            if ranks[d]:
-                witness = Monomial(ideal.table, exps)
-                return SupportReport(False, name, witness=witness, witness_dim=d)
+        if ranks:
+            witness = Monomial(ideal.table, exps)
+            return SupportReport(False, name, witness=witness, witness_dim=min(ranks))
     return SupportReport(True, name)
 
 
@@ -269,10 +268,9 @@ def betti_numbers(
         # all-zero member masks mean only the empty face survives, giving the
         # rank-1 contribution at homological dimension -1 (so beta_{0,m} = 1)
         ranks = hml.ranks_from_members(lab._strict_members(exps), field, limits, memo)
-        nonzero = [(d, r) for d, r in ranks.items() if r]
-        if nonzero:
+        if ranks:
             m = Monomial(ideal.table, exps)
-            for d, r in nonzero:
+            for d, r in ranks.items():
                 graded[(d + 1, m)] = r
                 total[d + 1] = total.get(d + 1, 0) + r
     return BettiTable(total, graded)

@@ -236,7 +236,7 @@ def _checks_and_invariants(
 
     try:
         lab, record = l2.l2_of_ideal(ideal)
-    except AssertionError as exc:  # a diagonal pair was deleted
+    except l2.DiagonalDeleted as exc:
         out.append(CheckResult("diagonal-survives", False, str(exc)))
         return out, None
     try:
@@ -252,7 +252,7 @@ def _checks_and_invariants(
         return out, None
     out.append(CheckResult("labels-match-square", True))
 
-    # l2_of_ideal raises when a diagonal pair is deleted
+    # the deletion record of l2_of_ideal raises when a diagonal pair is deleted
     out.append(CheckResult("diagonal-survives", True))
     # the connectivity criterion runs the quasi-forest test itself
     try:

@@ -11,11 +11,12 @@ positions, and the quasi-forest references search every leaf order or test
 the chordal-graph characterization directly.
 
 Five kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
-assembles every boundary map on a position table (faces of each dimension
-numbered in ascending mask order) and ranks it in full on the package's
-`matrix_rank`, so a test can isolate both the mask-keyed rows and the
-clearing; `forced_ranks` runs one of the package's two face routes on the
-unreduced family, so a test can compare the routes; `unmemoized_betti_numbers`
+assembles every boundary map as dict columns on a position table (faces of
+each dimension numbered in ascending mask order) and ranks it in full on the
+package's `matrix_rank`, so a test can isolate the mask-keyed rows, the lazy
+mask columns and the clearing; `forced_ranks` runs one of the package's two
+face routes on the unreduced family, so a test can compare the routes and
+check the exits taken before them; `unmemoized_betti_numbers`
 ranks every restriction with the package's `ranks_from_members` and no memo,
 so a test can isolate the memo; `induced_subcomplex` cuts the facet masks
 and renumbers them by the package's double `_transpose`, the reference that
@@ -149,7 +150,8 @@ def brute_reduced_homology(facets, p=None):
 
 def plain_ranks_from_face_masks(faces, field):
     """Reduced homology ranks of a subset-closed mask family, every boundary
-    map ranked in full (no clearing) with the package's `matrix_rank`."""
+    map built as dict columns and ranked in full (no clearing) with the
+    package's `matrix_rank`."""
     if not faces:
         return {}
     by_dim = {}
@@ -179,11 +181,11 @@ def plain_ranks_from_face_masks(faces, field):
 
 def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
     """Reduced homology ranks of the union of simplexes on the vertex masks,
-    by one route of the package, on the unreduced family: no strong-collapse
-    core and no routing.  "enumerate" lists the faces of the family, and
-    "nerve" those of its transposed family, which are the nerve's.  Keys are
-    padded from -1 to the dimension of the complex, as `ranks_from_members`
-    pads them, and the enumeration runs under the same face cap."""
+    by one route of the package, on the unreduced family: no exit, no
+    strong-collapse core and no routing.  "enumerate" lists the faces of the
+    family, and "nerve" those of its transposed family, which are the
+    nerve's.  Only the nonzero ranks are kept, as `ranks_from_members` keeps
+    them, and the enumeration runs under the same face cap."""
     members = list(members)
     if not members:
         return {}
@@ -191,14 +193,11 @@ def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
     if not live:
         return {-1: 1}
     dim = max(m.bit_count() for m in live) - 1
-    out = {d: 0 for d in range(-1, dim + 1)}
     family = maximal_masks(_transpose(live)) if route == "nerve" else live
     faces = enumerate_face_masks(family, limits.max_faces)
-    for d, r in ranks_from_face_masks(faces, field).items():
-        if d <= dim:
-            out[d] = r
-        elif r:
-            raise AssertionError("homology above the complex dimension")
+    out = {d: r for d, r in ranks_from_face_masks(faces, field).items() if r}
+    if out and max(out) > dim:
+        raise AssertionError("homology above the complex dimension")
     return out
 
 

@@ -9,6 +9,7 @@ from lsquare.complexes import f_vector, quasi_forest_order
 from lsquare.homology import RATIONALS, PrimeField
 from lsquare.l2 import (
     DeletionRecord,
+    DiagonalDeleted,
     bound_table,
     deletion_face_bound,
     l2_of_ideal,
@@ -246,10 +247,14 @@ def test_deletion_record_invariants_and_json():
     assert record.t == (1, 0, 1, 0)
     obj = record.to_json()
     assert obj == {"deleted": [[1, 3]], "s": 9, "t": [1, 0, 1, 0]}
-    # a deleted pair is off the diagonal, ordered and in range
-    for pair in [(3, 1), (0, 1), (2, 2), (1, 5)]:
-        with pytest.raises(ValueError):
+    # a deleted pair is off the diagonal, ordered and in range; a diagonal
+    # one has its own ValueError, which `verify` reports as diagonal-survives
+    for pair in [(3, 1), (0, 1), (1, 5)]:
+        with pytest.raises(ValueError) as err:
             DeletionRecord(4, frozenset({pair}))
+        assert not isinstance(err.value, DiagonalDeleted)
+    with pytest.raises(DiagonalDeleted):
+        DeletionRecord(4, frozenset({(2, 2)}))
 
 
 def test_bound_formulas_match_tables():
