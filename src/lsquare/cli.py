@@ -281,7 +281,9 @@ def cmd_bounds(args) -> int:
     if args.format == "json":
         print(json.dumps(table.to_json(), indent=2))
         return EXIT_OK
-    print(f"q = {table.q}, s = {table.s}, t = {list(table.t)}")
+    # csv output is the rows alone; json carries q, s and t as keys
+    if args.format == "table":
+        print(f"q = {table.q}, s = {table.s}, t = {list(table.t)}")
     header = ["d"] + [str(d) for d in range(table.max_d + 1)]
     print(render_rows(header, table.rows, args.format))
     return EXIT_OK

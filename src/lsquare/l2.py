@@ -133,6 +133,10 @@ def square_betti_numbers(
     """Betti numbers of the square once `lab`, its L2(I), is checked to support it.
 
     The check is the paper's theorem, and a failure raises UnsupportedComplex.
+    It walks no lattice: L2(I)'s off-diagonal set (a row when the surviving
+    off-diagonal pairs all lie in it) holds every vertex shared by two
+    facets, so `supports_resolution_homological` decides it by label tests
+    on vertex pairs, ranking nothing; the proof is in that docstring.
     Betti numbers are invariants of the square, so any supporting complex
     gives them; they are read off the Taylor complex, whose strictly-below
     restriction at m is a union of at most |supp m| simplexes, one per

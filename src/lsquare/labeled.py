@@ -7,6 +7,14 @@ subcomplex induced on the vertices whose labels divide m is empty or acyclic.
 For quasi-forests the acyclicity can be replaced by mere connectivity, which
 gives a second, independent route to the same verdict.
 
+The acyclicity criterion walks the lattice only on a complex without a hub,
+a facet that holds every vertex lying in two or more facets.  With a hub,
+such as a lone facet or L2(I)'s off-diagonal set, every restriction
+collapses to disjoint simplexes, and support reduces to label tests on
+vertex pairs (the proof is in `supports_resolution_homological`).  The
+connectivity criterion still walks every lattice point, so in
+`check-support` and `verify` it cross-checks that certificate.
+
 The multigraded Betti numbers of the ideal are then read off the supported
 complex: beta_{d,m} is the reduced homology rank in dimension d-1 of the
 subcomplex of faces whose label strictly divides m.
@@ -27,7 +35,13 @@ from . import complexes as cx
 from . import homology as hml
 from .complexes import SimplicialComplex
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
-from .monomials import Monomial, MonomialIdeal, VariableTable, parse_monomial
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    VariableTable,
+    parse_monomial,
+    thermometer_codes,
+)
 
 
 class NotQuasiForest(ValueError):
@@ -163,7 +177,9 @@ def supports_resolution_quasitree(
     """Connectivity criterion: every lcm-lattice restriction is empty or connected.
 
     Only valid on quasi-forests; anything else is rejected so it stays clear
-    which criterion produced the verdict.
+    which criterion produced the verdict.  It walks every lattice point, also
+    where the acyclicity criterion has a hub certificate, so that in
+    `check-support` and `verify` it checks that certificate independently.
     """
     check_labels_match(lab, ideal)
     if cx.quasi_forest_order(lab.complex) is None:
@@ -180,6 +196,45 @@ def supports_resolution_quasitree(
     return SupportReport(True, "quasi-forest connectivity")
 
 
+def _hub(facet_masks: tuple[int, ...]) -> int | None:
+    """A facet holding every vertex that lies in two or more facets, or None.
+
+    A lone facet is a hub, and so is every facet of a complex whose facets
+    are disjoint.  L2(I)'s hub is its off-diagonal set, or a row when the
+    surviving off-diagonal pairs all lie in it (always for q <= 2)."""
+    seen = shared = 0
+    for fm in facet_masks:
+        shared |= seen & fm
+        seen |= fm
+    return next((fm for fm in facet_masks if not shared & ~fm), None)
+
+
+def _hub_witness(lab: LabeledComplex, hub: int) -> Monomial | None:
+    """The sort-first lattice point whose restriction has two or more pieces,
+    or None; the proof is in `supports_resolution_homological`.
+
+    Labels are read as `thermometer_codes`: the code of lcm(l_v, l_u) is
+    c_v | c_u, l_w divides it when c_w & ~(c_v | c_u) == 0, and codes order
+    as `Monomial.sort_key` does."""
+    labels = [lab.labels[v] for v in lab.complex.ids]
+    codes, _ = thermometer_codes(labels)
+    at = range(len(codes))
+    best = None
+    for fm in lab.complex.facet_masks:
+        inside = [codes[w] for w in at if (fm & hub) >> w & 1]
+        apart = [u for u in at if not fm >> u & 1]
+        for v in at:
+            if (fm & ~hub) >> v & 1:
+                for u in apart:
+                    m = codes[v] | codes[u]
+                    if all(w & ~m for w in inside) and (best is None or m < best[0]):
+                        best = (m, v, u)
+    if best is None:
+        return None
+    _, v, u = best
+    return labels[v].lcm(labels[u])
+
+
 def supports_resolution_homological(
     lab: LabeledComplex,
     ideal: MonomialIdeal,
@@ -188,15 +243,47 @@ def supports_resolution_homological(
 ) -> SupportReport:
     """Acyclicity criterion: every lcm-lattice restriction is empty or acyclic.
 
-    A complex with one facet passes once its labels match: every restriction
-    of a simplex is empty or the simplex on the vertices it keeps, which is
-    acyclic.
+    A complex with a hub H, a facet that holds every vertex lying in two or
+    more facets (`_hub`), is decided by label tests on vertex pairs, with no
+    lattice walk and no rank; it reports what the walk would.  Proof: write
+    W = V(m) for the vertices whose labels divide a lattice point m, and f_v
+    for the one facet that holds a vertex v outside H.
+
+    - A facet f != H that meets H & W collapses into the simplex H & W.
+      Each vertex v of f & W outside H lies in f alone, so f & W is the one
+      maximal face holding v in the restriction, and v is dominated by a
+      vertex of f & H & W; deleting a dominated vertex is a strong collapse
+      (Barmak-Minian 2012, as in `homology.strong_core`).
+    - A facet f whose restriction misses H is a simplex apart from
+      everything else, since its vertices lie in f alone.
+    - So the restriction collapses to disjoint simplexes, one per piece: it
+      is acyclic iff it has exactly one piece, and otherwise only its
+      reduced H_0 is nonzero.
+    - It has two or more pieces iff W holds a vertex v outside H with
+      f_v & W & H empty and a vertex u outside f_v.  W shrinks as m does,
+      so such a pair also fails at m' = lcm(l_v, l_u), a lattice point that
+      divides m.  Hence X supports the ideal iff no pair v outside H, u
+      outside f_v has f_v & H & V(lcm(l_v, l_u)) empty.
+    - A failing point is divisible by a failing lcm(l_v, l_u), and a divisor
+      comes first in `Monomial.sort_key` order.  So the sort-first failing
+      pair lcm is the walk's witness, in dimension 0.
+
+    A lone facet is a hub with no vertex outside it, so a simplex passes
+    once its labels match.  A complex with no hub, such as a hollow triangle,
+    is walked: each restriction at a point of the lcm lattice is ranked
+    with `homology.ranks_from_members`.  `supports_resolution_quasitree`
+    walks every point whatever the complex, so `check-support` and `verify`
+    cross-check the certificate on every quasi-forest, L2(I) among them.
     """
     check_labels_match(lab, ideal)
     facet_masks = lab.complex.facet_masks
     name = f"homological over {field}"
-    if len(facet_masks) == 1:
-        return SupportReport(True, name)
+    hub = _hub(facet_masks)
+    if hub is not None:
+        witness = _hub_witness(lab, hub)
+        if witness is None:
+            return SupportReport(True, name)
+        return SupportReport(False, name, witness=witness, witness_dim=0)
     for exps in ideal.sorted_lattice:
         vm = lab._divisor_mask(exps)
         members = [fm & vm for fm in facet_masks]

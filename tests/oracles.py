@@ -349,6 +349,20 @@ def restrict_strict(lab, m):
     return _restrict_faces(lab, kept)
 
 
+def walk_support(lab, ideal):
+    """The homological support criterion by its definition, as (supported,
+    witness, witness_dim): the first point of `lcm_lattice_by_subsets` in
+    `sort_key` order whose `restrict_divides` restriction has nonzero
+    `brute_reduced_homology`, with its lowest such dimension, or
+    (True, None, None) when there is none."""
+    for m in sorted(lcm_lattice_by_subsets(ideal), key=Monomial.sort_key):
+        ranks = brute_reduced_homology(restrict_divides(lab, m).complex.facets)
+        nonzero = [d for d, r in ranks.items() if r]
+        if nonzero:
+            return False, m, min(nonzero)
+    return True, None, None
+
+
 def leaf_by_definition(facets, f):
     """f is the only facet, or some other facet G holds f & H for every other H."""
     others = [h for h in facets if h != f]

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -333,6 +334,27 @@ def test_betti_of_a_square_still_checks_that_l2_supports_it(monkeypatch, capsys)
         assert out == "" and err.startswith("FAIL: "), argv
 
 
+def test_betti_of_a_square_ranks_only_the_taylor_read_off(monkeypatch, capsys):
+    # L2(I) has a hub, its off-diagonal facet, so its support check ranks no
+    # restriction; the Taylor read-off ranks one per lcm-lattice point
+    from lsquare import homology
+    from lsquare.monomials import parse_ideal
+
+    calls = []
+    real = homology.ranks_from_members
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "ranks_from_members", spy)
+    for text in ("abe,bc,cdf,ad", "xabc,yade,zbdf,wcef"):
+        calls.clear()
+        code, _, _ = run(capsys, "betti", "--power", "2", text)
+        assert code == 0
+        assert len(calls) == len(parse_ideal(text)[0].power(2).sorted_lattice), text
+
+
 def test_betti_round_trips_through_json(capsys):
     code, out, _ = run(
         capsys, "betti", "--power", "2", "abe,bc,cdf,ad", "--format", "json", "--graded"
@@ -353,6 +375,13 @@ def test_bounds_command(capsys):
     lines = out.splitlines()
     assert "skeleton,10,27,32,19,6,1,0" in lines
     assert "betti,10,20,15,4,0,0,0" in lines
+    # csv is the header and rows alone; json keeps the q, s, t summary
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["d", "0", "1", "2", "3", "4", "5", "6"]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    code, out, _ = run(capsys, "bounds", "x,y,z,w", "--format", "json")
+    obj = json.loads(out)
+    assert (obj["q"], obj["s"], obj["t"]) == (4, 10, [0, 0, 0, 0])
 
 
 def test_bounds_of_the_sharp_example_equal_the_face_counts_of_l2(capsys):

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lsquare.complexes import SimplicialComplex, f_vector
 from lsquare.homology import PrimeField, RATIONALS
@@ -27,7 +27,7 @@ from lsquare.monomials import (
     parse_ideal,
     parse_monomial,
 )
-from lsquare.randoms import sample_ideal
+from lsquare.randoms import random_squarefree_ideal, sample_ideal
 
 from oracles import (
     betti_upper_bounds,
@@ -38,6 +38,7 @@ from oracles import (
     top_label,
     unmemoized_betti_numbers,
     variable,
+    walk_support,
 )
 
 XYZ = VariableTable(("x", "y", "z"))
@@ -327,10 +328,10 @@ def test_oracle_equivalence_between_complexes():
 FIVE = VariableTable(tuple("abcde"))
 
 
-def exponent_rows(top):
-    """Up to five generators in five variables, exponents at most `top`."""
+def exponent_rows(top, max_size=5):
+    """Up to `max_size` generators in five variables, exponents at most `top`."""
     row = st.tuples(*[st.integers(0, top)] * 5).filter(any)
-    return st.lists(row, min_size=1, max_size=5)
+    return st.lists(row, min_size=1, max_size=max_size)
 
 
 def ideal_of(rows):
@@ -392,10 +393,97 @@ def test_one_facet_support_check_ranks_nothing_but_checks_labels(monkeypatch):
     monkeypatch.setattr(hml, "ranks_from_members", spy)
     ideal, _ = parse_ideal("abe,bc,cdf,ad")
     square = ideal.power(2)
-    assert supports_resolution_homological(taylor_complex(square), square).supported
+    q8 = random_squarefree_ideal(random.Random(11), 10, 8)
+    # a simplex is its own hub, and L2(I)'s hub is its off-diagonal facet
+    for lab, target in (
+        (taylor_complex(square), square),
+        (l2_of_ideal(ideal)[0], square),
+        (l2_of_ideal(q8)[0], q8.power(2)),
+    ):
+        assert supports_resolution_homological(lab, target).supported
     assert calls == []
     with pytest.raises(ValueError):
         supports_resolution_homological(taylor_complex(ideal), square)
+    with pytest.raises(ValueError):
+        supports_resolution_homological(l2_of_ideal(ideal)[0], ideal)
+    # no facet of the hollow triangle holds the three shared vertices
+    three, _ = parse_ideal("x,y,z")
+    assert not supports_resolution_homological(hollow_triangle_xyz(), three).supported
+    assert calls
+
+
+def assert_certificate_is_the_walk(lab, ideal):
+    """The hub certificate reports what `oracles.walk_support` does, and ranks
+    no restriction."""
+    import lsquare.homology as hml
+
+    def no_ranks(*args, **kwargs):
+        raise AssertionError("a complex with a hub ranked a restriction")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hml, "ranks_from_members", no_ranks)
+        report = supports_resolution_homological(lab, ideal)
+    assert (report.supported, report.witness, report.witness_dim) == walk_support(
+        lab, ideal
+    )
+
+
+@st.composite
+def hub_complexes(draw):
+    """A complex whose vertices outside the hub lie in one facet each, labeled
+    by the minimal generators of an ideal with exponents 0..2."""
+    ideal = ideal_of(draw(exponent_rows(2, max_size=6)))
+    gens = draw(st.permutations(ideal.gens))
+    every = range(len(gens))
+    hub = draw(st.sets(st.sampled_from(every)))
+    private: dict[int, set[int]] = {}
+    for v in every:
+        if v not in hub:
+            private.setdefault(draw(st.integers(0, 2)), set()).add(v)
+    facets = [hub] + [p | draw(st.sets(st.sampled_from(every))) & hub for p in private.values()]
+    delta = SimplicialComplex.from_facets(facets)
+    return LabeledComplex(delta, dict(enumerate(gens)), FIVE), ideal
+
+
+def path_xyz():
+    """The path x - y - z: its hub is either edge, and it fails at xz."""
+    delta = SimplicialComplex.from_facets([{0, 1}, {1, 2}])
+    return LabeledComplex(delta, {0: mono("x"), 1: mono("y"), 2: mono("z")}, XYZ)
+
+
+@given(hub_complexes())
+@example((path_xyz(), parse_ideal("x,y,z")[0]))
+@settings(max_examples=60, deadline=None)
+def test_hub_certificate_equals_the_lattice_walk(case):
+    assert_certificate_is_the_walk(*case)
+
+
+def l2_part(ideal, keep):
+    """The rows and the off-diagonal set of L2(I) cut to the vertices `keep`,
+    with the ideal of their labels.  The off-diagonal pairs are the vertices
+    shared by two facets, so the cut has a hub."""
+    lab, _ = l2_of_ideal(ideal)
+    pairs = pairs_of(ideal.q)
+    rows = [{k for k in keep if i in pairs[k]} for i in range(1, ideal.q + 1)]
+    off_diagonal = {k for k in keep if len(set(pairs[k])) == 2}
+    delta = SimplicialComplex.from_facets([*rows, off_diagonal])
+    labels = {k: lab.labels[k] for k in keep}
+    return LabeledComplex(delta, labels, lab.table), MonomialIdeal.minimal(list(labels.values()))
+
+
+@st.composite
+def l2_parts(draw):
+    ideal = ideal_of(draw(exponent_rows(1)))
+    ids = l2_of_ideal(ideal)[0].complex.ids
+    return l2_part(ideal, draw(st.sets(st.sampled_from(ids), min_size=1, max_size=7)))
+
+
+@given(l2_parts())
+# two diagonal vertices, x^2 and y^2, are two points apart
+@example(l2_part(parse_ideal("x,y,z")[0], {0, 3}))
+@settings(max_examples=40, deadline=None)
+def test_hub_certificate_equals_the_walk_on_parts_of_l2(case):
+    assert_certificate_is_the_walk(*case)
 
 
 def test_criteria_agree_on_random_quasi_forests():
