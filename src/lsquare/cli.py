@@ -375,7 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("betti", help="exact Betti numbers from a supporting complex")
     _add_ideal(p)
     p.add_argument("--power", type=int, default=1)
-    p.add_argument("--graded", action="store_true", help="include multidegree rows")
+    p.add_argument(
+        "--graded",
+        action="store_true",
+        help="add one row per multidegree to table and csv output "
+        "(json output always lists them)",
+    )
     p.add_argument("--complex", default=None, help="labeled complex JSON file")
     _add_options(
         p,

@@ -4,8 +4,7 @@ The engine works on bitmasks: a complex is handed over as a list of "member"
 masks, each the vertex set of a simplex, whose union is the complex (the facet
 list is always such a family).  Three steps are used, cheapest first:
 
-* exits: a family with no vertex and a member equal to the union of the
-  members (one simplex) are answered at once;
+* exit: a family with no vertex is answered at once;
 * strong-collapse core: dominated vertices are deleted until none is left
   (a vertex common to all maximal members, a cone, is the one-step case,
   tested first); a core that is a single simplex is acyclic;
@@ -14,13 +13,13 @@ list is always such a family).  Three steps are used, cheapest first:
   face-count estimate.  All nonempty intersections of simplexes on vertex
   subsets are simplexes, hence contractible, so the nerve has the same
   reduced homology.  The faces get sparse boundary matrices and exact ranks
-  with one fraction-free elimination for every field (`matrix_rank`: integer
-  rows over Q, rows reduced mod p over GF(p); a face's column is built only
-  when a column reduces against it), from the top dimension down,
-  leaving out every column that a pivot of the map above already shows to be
-  dependent (clearing: a reduced column of d_d with smallest key c has zero
-  boundary, so d(c) is a combination of the d(s) with s > c; the full proof
-  is in `ranks_from_face_masks`).
+  with one fraction-free elimination for every field (`matrix_rank`, on face
+  masks: integer rows over Q, rows reduced mod p over GF(p); a face's column
+  is built only when a column reduces against it), from the top dimension
+  down, leaving out every column that a pivot of the map above already shows
+  to be dependent (clearing: a reduced column of d_d with smallest key c has
+  zero boundary, so d(c) is a combination of the d(s) with s > c; the full
+  proof is in `ranks_from_face_masks`).
 
 Connectivity lists no faces either: each nonzero member is a simplex, so the
 union is connected iff the members' intersection graph is, and
@@ -38,11 +37,11 @@ transpose of the renumbered core, and the renumbered core is its transpose,
 so each determines the other.  An equal core met again is not renumbered,
 enumerated or ranked a second time.
 
-`ranks_from_members` returns the nonzero ranks only, as a dict {dimension:
-rank}: an acyclic complex and the void complex (no faces at all) give {},
-and the complex whose only face is the empty set gives {-1: 1}.  Most
-restrictions of a lattice walk are acyclic; those with a member that is the
-whole union leave before the maximal members are taken, and cones at the
+`ranks_from_members` and `ranks_from_face_masks` return the nonzero ranks
+only, as a dict {dimension: rank}: an acyclic complex and the void complex
+(no faces at all) give {}, and the complex whose only face is the empty set
+gives {-1: 1}.  Most restrictions of a lattice walk are acyclic, and the
+cones among them, a member equal to the whole union included, leave at the
 first step of the core.
 """
 
@@ -86,8 +85,10 @@ class HomologyLimits:
     max_nerve_members: int = 40
 
     def __post_init__(self):
-        if self.max_faces <= 0 or self.enumeration_budget <= 0:
-            raise ValueError("resource caps must be positive")
+        for name in ("max_faces", "enumeration_budget"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 DEFAULT_LIMITS = HomologyLimits()
@@ -164,14 +165,11 @@ def parse_field(spec: str) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def matrix_rank(
-    columns: list[dict[int, int] | int], field: Field, pivots: set[int]
-) -> int:
-    """Rank over `field` of the matrix with the given columns; row keys are
-    ordered as integers.  A column is a dict {row key: nonzero integer entry},
-    or a nonzero face mask (an int) standing for the boundary of that face:
-    the entry at the mask minus its i-th lowest set bit is (-1)^i, counting
-    from i = 0, so its smallest key is the mask minus its top bit.
+def matrix_rank(columns: list[int], field: Field, pivots: set[int]) -> int:
+    """Rank over `field` of the boundary matrix whose columns are given as
+    nonzero face masks; a mask stands for the boundary of its face, whose
+    entry at the mask minus its i-th lowest set bit is (-1)^i, counting from
+    i = 0.  Row keys are face masks, ordered as integers.
 
     One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) serves every
     field.  Each column is reduced against the stored pivots until its
@@ -183,53 +181,45 @@ def matrix_rank(
     arises.  Over Q every a*row - b*pivot, and every column stored after a
     reduction step, is divided by the gcd of its entries.  That division only
     keeps the integers small (a nonzero multiple of a column spans the same
-    line), so a column that takes no step is stored as given.  Over GF(p)
-    every entry is kept in 0..p-1, so entries that vanish mod p drop out, and
-    -1 is p - 1: with p = 0 standing for Q, a is -1 or 1 exactly when it is
-    p - 1 or 1.  Scaling GF(p) pivots to leading entry 1 was measured to be
-    slower, since most columns of a boundary matrix become pivots after few
-    steps.
+    line).  Over GF(p) every entry is kept in 0..p-1, so entries that vanish
+    mod p drop out, and -1 is p - 1: with p = 0 standing for Q, a is -1 or 1
+    exactly when it is p - 1 or 1.  Scaling GF(p) pivots to leading entry 1
+    was measured to be slower, since most columns of a boundary matrix become
+    pivots after few steps.
 
-    Mask columns are built lazily, as the apparent pivots of Ripser (Bauer,
+    Columns are built lazily, as the apparent pivots of Ripser (Bauer,
     J. Appl. Comput. Topol. 5, 2021).  Proof that this changes no step.
     Write t for the top bit of a face mask.  Each key of its boundary column
     but mask - t still holds t, so it exceeds mask - t, whose bits all lie
     below t: mask - t is the smallest key, with entry +1 or -1.  Built at
-    once, as `_boundary` builds it (-1 written p - 1, nonzero mod every p,
-    which is the column `{key: v % p}` that a dict column of +-1 entries
-    gives), the column would find no pivot at mask - t when that key is new,
-    take no reduction step, and be stored as it stands.  The loop stores the
-    mask there instead.  A stored pivot is read only when a later column
-    reduces against it, and only then is the mask built; `_boundary` depends
-    on the mask and p alone, so the column read is the one the eager loop
-    would have stored, entry for entry.  Before that read only the key is
-    used, and it is the same.  So every reduction step, the rank and the
-    pivot keys are those of the loop that builds every column on arrival;
-    a pivot that no column reaches is never built.
+    once, as `_boundary` builds it (-1 written p - 1, nonzero mod every p),
+    the column would find no pivot at mask - t when that key is new, take no
+    reduction step, and be stored as it stands.  The loop stores the mask
+    there instead.  A stored pivot is read only when a later column reduces
+    against it, and only then is the mask built; `_boundary` depends on the
+    mask and p alone, so the column read is the one the eager loop would
+    have stored, entry for entry.  Before that read only the key is used, and
+    it is the same.  So every reduction step, the rank and the pivot keys are
+    those of the loop that builds every column on arrival; a pivot that no
+    column reaches is never built.  A column that is built finds a pivot at
+    its smallest key, so it takes at least one step before it is stored.
     """
     p = field.p if isinstance(field, PrimeField) else 0
     reduced: dict[int, dict[int, int] | int] = {}
     for column in columns:
-        if isinstance(column, int):
-            c = column ^ 1 << column.bit_length() - 1
-            if c not in reduced:
-                reduced[c] = column
-                continue
-            row = _boundary(column, p)
-        elif p:
-            row = {c: v % p for c, v in column.items() if v % p}
-        else:
-            row = dict(column)
-        stepped = False
+        c = column ^ 1 << column.bit_length() - 1
+        if c not in reduced:
+            reduced[c] = column
+            continue
+        row = _boundary(column, p)
         while row:
             c = min(row)
             piv = reduced.get(c)
             if piv is None:
-                reduced[c] = _primitive(row) if stepped and not p else row
+                reduced[c] = row if p else _primitive(row)
                 break
             if isinstance(piv, int):
                 piv = reduced[c] = _boundary(piv, p)
-            stepped = True
             a, f = piv[c], row[c]
             unit = a == 1 or a == p - 1
             if unit:
@@ -310,7 +300,8 @@ def enumerate_face_masks(members: list[int], max_faces: int) -> set[int]:
 
 
 def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
-    """Reduced homology ranks of a subset-closed face family (given as masks).
+    """The nonzero reduced homology ranks {dimension: rank} of a subset-closed
+    face family (given as masks); {} when it has no face or is acyclic.
 
     The boundary maps are ranked from the top dimension down, with clearing
     (Chen and Kerber, Persistent homology computation with a twist, EuroCG
@@ -345,8 +336,9 @@ def ranks_from_face_masks(faces: set[int], field: Field) -> dict[int, int]:
         boundary_rank[d] = matrix_rank(columns, field, cleared)
 
     return {
-        d: len(by_dim[d]) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+        d: r
         for d in range(-1, top + 1)
+        if (r := len(by_dim[d]) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0))
     }
 
 
@@ -463,11 +455,10 @@ def ranks_from_members(
     simplexes on the given vertex masks: {} for an acyclic union and for the
     void complex (no members), {-1: 1} for the empty one (only zero masks).
 
-    Two exits come first.  No vertex gives {-1: 1}.  A member equal to the
-    union of the members gives {} before any other work, since the union is
-    that one simplex.  Otherwise the members are cut to `maximal_masks` and
-    shrunk to their `strong_core`, which has the same reduced homology and
-    whose first step is the cone test; a core that is one simplex is
+    One exit comes first: no vertex gives {-1: 1}.  Otherwise the members are
+    cut to `maximal_masks` and shrunk to their `strong_core`, which has the
+    same reduced homology and whose first step is the cone test (a member
+    equal to the union makes a cone); a core that is one simplex is
     acyclic.  The core's vertices are renumbered 0..k-1 in increasing order,
     and whichever of the core and its transposed family (its nerve) has the
     smaller face-count estimate is enumerated, the core on a tie.  The core
@@ -483,11 +474,8 @@ def ranks_from_members(
     members = list(members)
     if not members:
         return {}
-    union = reduce(or_, members)
-    if not union:
+    if not any(members):
         return {-1: 1}
-    if union in members:
-        return {}
     live = strong_core(maximal_masks(members))
     if len(live) == 1:
         return {}
@@ -502,9 +490,7 @@ def ranks_from_members(
             if estimated_face_count(nerve) < est:
                 family = nerve
         faces = enumerate_face_masks(family, limits.max_faces)
-        ranks = memo[rows] = {
-            d: r for d, r in ranks_from_face_masks(faces, field).items() if r
-        }
+        ranks = memo[rows] = ranks_from_face_masks(faces, field)
     if ranks and max(ranks) >= max(map(int.bit_count, members)):
         raise AssertionError("homology above the complex dimension")
     return dict(ranks)

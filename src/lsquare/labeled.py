@@ -376,8 +376,9 @@ def labeled_to_json(lab: LabeledComplex) -> dict:
 
 
 def _vertex_id(v) -> int:
-    """An integer or integer string as a vertex id; 0.7 is not read as 0."""
-    if isinstance(v, float) and not v.is_integer():
+    """An integer or integer string as a vertex id; 0.7 is not read as 0, nor
+    true as 1."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
         raise ValueError(f"vertex id {v} is not an integer")
     return int(v)
 

@@ -10,15 +10,14 @@ L2_q (`l2_skeleton`) is built from its definition on the closed-form pair
 positions, and the quasi-forest references search every leaf order or test
 the chordal-graph characterization directly.
 
-Five kinds of entry are the exception, and say so: `plain_ranks_from_face_masks`
-assembles every boundary map as dict columns on a position table (faces of
-each dimension numbered in ascending mask order) and ranks it in full on the
-package's `matrix_rank`, so a test can isolate the mask-keyed rows, the lazy
-mask columns and the clearing; `forced_ranks` runs one of the package's two
-face routes on the unreduced family, so a test can compare the routes and
-check the exits taken before them; `unmemoized_betti_numbers`
-ranks every restriction with the package's `ranks_from_members` and no memo,
-so a test can isolate the memo; `induced_subcomplex` cuts the facet masks
+Five kinds of entry are the exception, and say so:
+`plain_ranks_from_face_masks` ranks every face of every dimension as a mask
+column on the package's `matrix_rank`, so a test can isolate the clearing;
+`forced_ranks` runs one of the package's two face routes on the unreduced
+family, so a test can compare the routes and check the exit and the core
+taken before them; `unmemoized_betti_numbers` ranks every restriction with
+the package's `ranks_from_members` and no memo, so a test can isolate the
+memo; `induced_subcomplex` cuts the facet masks
 and renumbers them by the package's double `_transpose`, the reference that
 `l2_of_ideal`, which builds L2(I) on its surviving pairs, is checked against;
 and the small helpers at the end
@@ -149,34 +148,26 @@ def brute_reduced_homology(facets, p=None):
 
 
 def plain_ranks_from_face_masks(faces, field):
-    """Reduced homology ranks of a subset-closed mask family, every boundary
-    map built as dict columns and ranked in full (no clearing) with the
-    package's `matrix_rank`."""
+    """The nonzero reduced homology ranks of a subset-closed mask family, every
+    face of every dimension ranked as a column of its boundary map (no
+    clearing) with the package's `matrix_rank`."""
     if not faces:
         return {}
     by_dim = {}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    for lst in by_dim.values():
-        lst.sort()
-    boundary_rank = {}
-    for d in range(max(by_dim) + 1):
-        if d - 1 not in by_dim:
-            continue
-        rows = {mask: k for k, mask in enumerate(by_dim[d - 1])}
-        columns = []
-        for mask in by_dim[d]:
-            bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
-            columns.append(
-                {rows[mask ^ (1 << b)]: (-1) ** pos for pos, b in enumerate(bits)}
-            )
-        boundary_rank[d] = matrix_rank(columns, field, set())
-    return {
-        d: len(by_dim.get(d, ()))
-        - boundary_rank.get(d, 0)
-        - boundary_rank.get(d + 1, 0)
-        for d in range(-1, max(by_dim) + 1)
+    top = max(by_dim)
+    boundary_rank = {
+        d: matrix_rank(sorted(by_dim.get(d, ())), field, set())
+        for d in range(top + 1)
     }
+    ranks = {}
+    for d in range(-1, top + 1):
+        n = len(by_dim.get(d, ()))
+        r = n - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+        if r:
+            ranks[d] = r
+    return ranks
 
 
 def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
@@ -184,8 +175,7 @@ def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
     by one route of the package, on the unreduced family: no exit, no
     strong-collapse core and no routing.  "enumerate" lists the faces of the
     family, and "nerve" those of its transposed family, which are the
-    nerve's.  Only the nonzero ranks are kept, as `ranks_from_members` keeps
-    them, and the enumeration runs under the same face cap."""
+    nerve's.  The enumeration runs under the package's face cap."""
     members = list(members)
     if not members:
         return {}
@@ -195,7 +185,7 @@ def forced_ranks(members, route, field=RATIONALS, limits=DEFAULT_LIMITS):
     dim = max(m.bit_count() for m in live) - 1
     family = maximal_masks(_transpose(live)) if route == "nerve" else live
     faces = enumerate_face_masks(family, limits.max_faces)
-    out = {d: r for d, r in ranks_from_face_masks(faces, field).items() if r}
+    out = ranks_from_face_masks(faces, field)
     if out and max(out) > dim:
         raise AssertionError("homology above the complex dimension")
     return out
@@ -243,9 +233,8 @@ def unmemoized_betti_numbers(lab, ideal, field=RATIONALS):
     total, graded = {}, {}
     for exps in ideal.sorted_lattice:
         for d, r in ranks_from_members(lab._strict_members(exps), field).items():
-            if r:
-                graded[(d + 1, Monomial(ideal.table, exps))] = r
-                total[d + 1] = total.get(d + 1, 0) + r
+            graded[(d + 1, Monomial(ideal.table, exps))] = r
+            total[d + 1] = total.get(d + 1, 0) + r
     return BettiTable(total, graded)
 
 

@@ -434,6 +434,9 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
         ({"facets": [[0.7, 1.9]], "labels": labels}, "'facets'"),
         ({"facets": [[0, 1.5]], "labels": labels}, "'facets'"),
         ({"facets": [[0, 1]], "vertices": [0.5], "labels": labels}, "'vertices'"),
+        # JSON true and false are not the vertex ids 1 and 0
+        ({"facets": [[True, False]], "labels": labels}, "'facets'"),
+        ({"facets": [[0, 1]], "vertices": [True], "labels": labels}, "'vertices'"),
         # a label for a vertex in no facet, though the labels are the generators
         ({"facets": [[0]], "labels": labels}, "vertices not in the complex: [1]"),
     ]

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from lsquare.homology import (
     PrimeField,
     RATIONALS,
     ResourceLimit,
+    _boundary,
     _is_prime,
     _transpose,
     connected_from_members,
@@ -111,30 +114,6 @@ def test_members_engine_edge_cases():
     assert ranks_from_members([0b011, 0b101]) == {}
 
 
-def test_a_member_equal_to_the_union_exits_before_the_core(monkeypatch):
-    import lsquare.homology as hml
-
-    calls = []
-
-    def spy(name):
-        real = getattr(hml, name)
-
-        def wrapped(*args):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(hml, name, wrapped)
-
-    spy("maximal_masks")
-    spy("strong_core")
-    # the union 0b1111 is a member: one simplex, whatever else is listed
-    assert ranks_from_members([0b0011, 0, 0b1111, 0b1100, 0b1111]) == {}
-    assert calls == []
-    # a hollow triangle has no such member and goes on to the core
-    assert ranks_from_members([0b011, 0b110, 0b101]) == {1: 1}
-    assert calls == ["maximal_masks", "strong_core"]
-
-
 def masks_of(*facets):
     return maximal_masks([sum(1 << v for v in f) for f in facets])
 
@@ -202,9 +181,8 @@ def test_routed_ranks_agree_with_forced_routes_and_the_oracle(members):
         assert forced_ranks(members, "nerve", field) == want
 
 
-# ranks_from_face_masks hands matrix_rank face masks, built lazily, and
-# clears; plain_ranks_from_face_masks hands it built dict columns on position
-# rows and clears nothing
+# ranks_from_face_masks clears; plain_ranks_from_face_masks hands
+# matrix_rank every face and clears nothing
 @given(member_families)
 @settings(max_examples=100, deadline=None)
 def test_cleared_ranks_equal_plain_ranks_and_the_oracle(members):
@@ -213,7 +191,7 @@ def test_cleared_ranks_equal_plain_ranks_and_the_oracle(members):
     live = maximal_masks(members)
     nerve = enumerate_face_masks(maximal_masks(_transpose(live)), 1 << 12)
     for field, p in ((RATIONALS, None), (PrimeField(2), 2), (PrimeField(3), 3)):
-        want = brute_reduced_homology(facets, p=p)
+        want = nonzero(brute_reduced_homology(facets, p=p))
         assert ranks_from_face_masks(faces, field) == want
         assert plain_ranks_from_face_masks(faces, field) == want
         assert ranks_from_face_masks(nerve, field) == plain_ranks_from_face_masks(
@@ -288,7 +266,7 @@ def test_clearing_goes_through_matrix_rank_for_every_dimension(monkeypatch):
 
     monkeypatch.setattr(hml, "matrix_rank", spy)
     faces = enumerate_face_masks(simplex_boundary(4), 1 << 10)
-    assert ranks_from_face_masks(faces, RATIONALS) == {-1: 0, 0: 0, 1: 0, 2: 1}
+    assert ranks_from_face_masks(faces, RATIONALS) == {2: 1}
     # d_2: 4 triangles; d_1: 6 edges less the 3 pivots of d_2; d_0: 4 vertices
     # less the 3 pivots of d_1
     assert calls == [4, 3, 1]
@@ -351,14 +329,14 @@ def test_connected_from_members_agrees_with_bfs_on_raw_families(members):
 
 
 @given(raw_member_families())
-@example([0b0011, 0b1111, 0, 0b1111])  # a member equal to the union
+@example([0b0011, 0b1111, 0, 0b1111])  # a member equal to the union: a cone
 @example([0b0111, 0b1110, 0b0001])  # a cone on vertices 1 and 2 once maximal
 @example([0, 0])
 @example([])
 @settings(max_examples=100, deadline=None)
 def test_sparse_ranks_equal_the_forced_routes_on_raw_families(members):
-    # zero, repeated and nested masks reach every exit of ranks_from_members,
-    # and forced_ranks takes none of them
+    # zero, repeated and nested masks reach the exit and the cone test of
+    # ranks_from_members, and forced_ranks takes neither
     for field in (RATIONALS, PrimeField(2), PrimeField(3)):
         got = ranks_from_members(members, field)
         assert got == forced_ranks(members, "enumerate", field)
@@ -433,8 +411,7 @@ def test_homology_respects_face_cap():
 
 
 # the fields the rank tests run over, each with its characteristic for the
-# dense oracle; entries in -6..6 include multiples of 2, 3 and 5, which vanish
-# mod p, and leading entries other than 1 and -1
+# dense oracle; over GF(2) -1 is 1, and 2^61 - 1 is a large characteristic
 RANK_FIELDS = (
     (RATIONALS, None),
     (PrimeField(2), 2),
@@ -443,36 +420,10 @@ RANK_FIELDS = (
     (PrimeField(2**61 - 1), 2**61 - 1),
 )
 
-
-def test_rank_functions_match_dense_oracle():
-    rng = random.Random(23)
-    for _ in range(60):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 6)
-        dense = [
-            [rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)
-        ]
-        sparse = [
-            {j: v for j, v in enumerate(row) if v} for row in dense
-        ]
-        for field, p in RANK_FIELDS:
-            assert matrix_rank(sparse, field, set()) == dense_rank(dense, p)
-
-
-def test_rank_kernels_report_the_smallest_index_pivots():
-    # the pivots of a smallest-index elimination are the pivot columns of the
-    # reduced row echelon form, whatever the order of the rows
-    rng = random.Random(24)
-    for _ in range(80):
-        nrows = rng.randint(1, 7)
-        ncols = rng.randint(1, 7)
-        dense = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
-        for field, p in RANK_FIELDS:
-            want = dense_pivot_columns(dense, p)
-            pivots = set()
-            assert matrix_rank(sparse, field, pivots) == len(want)
-            assert sorted(pivots) == want
+# mask lists whose elimination takes a non-unit step, a*row - b*pivot, over
+# the field named: a reduced column can lead with an entry other than +-1
+NON_UNIT_OVER_Q = [14, 19, 25, 37, 42, 35, 22, 13, 7]
+NON_UNIT_OVER_GF5 = [49, 67, 100, 38, 97, 21, 82, 50, 148, 7, 19]
 
 
 def built_column(mask):
@@ -482,21 +433,84 @@ def built_column(mask):
     return {mask ^ (1 << b): (-1) ** pos for pos, b in enumerate(bits)}
 
 
-@given(st.lists(st.tuples(st.integers(1, (1 << 7) - 1), st.booleans()), max_size=14))
+def dense_boundary(masks):
+    """The boundary matrix of the face masks, one dense row per mask, and its
+    column keys: the faces one vertex smaller, in ascending mask order."""
+    columns = [built_column(m) for m in masks]
+    keys = sorted(set().union(*columns))
+    return [[col.get(k, 0) for k in keys] for col in columns], keys
+
+
+def test_rank_functions_match_dense_oracle():
+    rng = random.Random(23)
+    for _ in range(60):
+        masks = [rng.randint(1, (1 << 6) - 1) for _ in range(rng.randint(1, 8))]
+        dense, _ = dense_boundary(masks)
+        for field, p in RANK_FIELDS:
+            assert matrix_rank(masks, field, set()) == dense_rank(dense, p)
+
+
+@given(st.lists(st.integers(1, (1 << 8) - 1), max_size=14))
+@example(NON_UNIT_OVER_Q)
+@example(NON_UNIT_OVER_GF5)
 @settings(max_examples=200, deadline=None)
-def test_mask_columns_rank_as_their_built_dict_columns(columns):
-    # masks of any sizes in any order, repeats included; the flag hands a
-    # column over built, so lazy mask pivots and dict columns meet both ways
-    masks = [m for m, _ in columns]
-    dicts = [built_column(m) for m in masks]
-    mixed = [built_column(m) if as_dict else m for m, as_dict in columns]
-    for field, _ in RANK_FIELDS:
-        want = set()
-        rank = matrix_rank(dicts, field, want)
-        for given_columns in (masks, mixed):
-            got = set()
-            assert matrix_rank(given_columns, field, got) == rank
-            assert got == want
+def test_rank_kernels_report_the_smallest_index_pivots(masks):
+    # masks of any sizes in any order, repeats included: the pivots of a
+    # smallest-key elimination are the pivot columns of the reduced row
+    # echelon form of the matrix, whatever the order of its rows
+    dense, keys = dense_boundary(masks)
+    for field, p in RANK_FIELDS:
+        want = {keys[k] for k in dense_pivot_columns(dense, p)}
+        pivots = set()
+        assert matrix_rank(masks, field, pivots) == len(want)
+        assert pivots == want
+
+
+@given(st.lists(st.integers(1, (1 << 7) - 1), max_size=14), st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_mask_columns_rank_as_their_built_dict_columns(masks, rnd):
+    # a mask column stands for its built dict column, -1 read mod p, and the
+    # masks give the rank of the built columns, with the same pivot keys in
+    # any order
+    shuffled = masks[:]
+    rnd.shuffle(shuffled)
+    dense, _ = dense_boundary(masks)
+    for field, p in RANK_FIELDS:
+        for m in masks:
+            built = {k: v % p if p else v for k, v in built_column(m).items()}
+            assert _boundary(m, p or 0) == built
+        want, got = set(), set()
+        assert matrix_rank(masks, field, want) == dense_rank(dense, p)
+        assert matrix_rank(shuffled, field, got) == len(want)
+        assert got == want
+
+
+def test_mask_columns_reach_the_non_unit_step():
+    # a line tracer on the kernel itself sees the a*row line of the field run
+    source, first = inspect.getsourcelines(matrix_rank)
+
+    def line_of(text):
+        (k,) = [k for k, line in enumerate(source) if text in line]
+        return first + k
+
+    for masks, field, step in (
+        (NON_UNIT_OVER_Q, RATIONALS, line_of("a * vv for")),
+        (NON_UNIT_OVER_GF5, PrimeField(5), line_of("a * vv % p")),
+    ):
+        seen = set()
+
+        def spy(frame, event, arg):
+            if frame.f_code is matrix_rank.__code__ and event == "line":
+                seen.add(frame.f_lineno)
+            return spy
+
+        before = sys.gettrace()
+        sys.settrace(spy)
+        try:
+            matrix_rank(masks, field, set())
+        finally:
+            sys.settrace(before)
+        assert step in seen, field
 
 
 def test_prime_field_is_fast_on_large_primes():
@@ -534,5 +548,7 @@ def test_parse_field():
 
 
 def test_limits_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_faces must be positive, got 0"):
         HomologyLimits(max_faces=0)
+    with pytest.raises(ValueError, match="enumeration_budget must be positive, got -1"):
+        HomologyLimits(enumeration_budget=-1)
