@@ -4,20 +4,18 @@ A labeled complex carries one monomial per vertex; a face is labeled by the
 lcm of its vertex labels.  Such a complex "supports a free resolution" of a
 monomial ideal exactly when, for every multidegree m in the lcm lattice, the
 subcomplex induced on the vertices whose labels divide m is empty or acyclic.
-For quasi-forests the acyclicity can be replaced by mere connectivity, which
-gives a second, independent route to the same verdict.
+For quasi-forests the acyclicity can be replaced by mere connectivity, a
+second, independent route to the verdict, which also cross-checks the label
+test that decides a complex with a hub facet without the lattice (the proof
+is in `supports_resolution_homological`).  The multigraded Betti numbers are
+then read off the supported complex: beta_{d,m} is the reduced homology rank
+in dimension d-1 of the subcomplex of faces whose label strictly divides m.
 
-The acyclicity criterion walks the lattice only on a complex without a hub,
-a facet that holds every vertex lying in two or more facets.  With a hub,
-such as a lone facet or L2(I)'s off-diagonal set, every restriction
-collapses to disjoint simplexes, and support reduces to label tests on
-vertex pairs (the proof is in `supports_resolution_homological`).  The
-connectivity criterion still walks every lattice point, so in
-`check-support` and `verify` it cross-checks that certificate.
-
-The multigraded Betti numbers of the ideal are then read off the supported
-complex: beta_{d,m} is the reduced homology rank in dimension d-1 of the
-subcomplex of faces whose label strictly divides m.
+The walks take lattice points as the ideal's thermometer codes, one int
+each, cut each restriction out of the facet masks with one table per complex
+that maps each code bit to the vertices whose label code holds it, and decode
+into a `Monomial` only a support witness or a multidegree with a nonzero
+Betti number.
 
 `labeled_to_json` and `labeled_from_json` are the one writer and reader of
 the complex file that `--complex` takes and `build-l2 --format json` writes.
@@ -25,6 +23,7 @@ the complex file that `--complex` takes and `build-l2 --format json` writes.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,36 +83,33 @@ class LabeledComplex:
         return m
 
     @cached_property
-    def _columns(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-        """Bit-sliced labels, two tables of one column per variable: column p
-        maps 0 and each exponent e that a label has in variable p to the mask
-        of the vertices whose label has exponent at most e (first table) or
-        below e (second table) in p, bits in sorted vertex order as in
-        `SimplicialComplex.facet_masks`.  The lcm lattice of the labels has
-        only these exponents, so x^1000000 costs what x^2 does."""
-        rows = [self.labels[v].exponents for v in self.complex.ids]
-        at_most = [{} for _ in range(self.table.n)]
-        below = [{} for _ in range(self.table.n)]
-        for p in range(self.table.n):
-            exact = {0: 0}
-            for k, e in enumerate(rows):
-                exact[e[p]] = exact.get(e[p], 0) | 1 << k
-            mask = 0
-            for e in sorted(exact):
-                below[p][e] = mask
-                mask |= exact[e]
-                at_most[p][e] = mask
-        return at_most, below
+    def _codes(self) -> tuple[list[int], list[tuple[int, int]], int]:
+        """The labels' `thermometer_codes` in sorted vertex order, as in
+        `SimplicialComplex.facet_masks`; each code bit with the mask of the
+        vertices whose label code holds it; and the mask of each lane's top bit.
 
-    def _divisor_mask(self, exps: tuple[int, ...]) -> int:
-        """Vertices whose label divides the monomial with exponents `exps`,
-        a point of the lcm lattice of the labels."""
+        Labels that are an ideal's generators, as `check_labels_match`
+        enforces, get the codes that `ideal.encoding` gives them, so the
+        ideal's lattice points read against them.  Proof: a code depends only
+        on the monomial's exponents and the lanes' levels, and lane p's
+        levels, 0 and the exponents of x_p that occur, depend only on the set
+        of monomials, not on their order."""
+        codes, lanes = thermometer_codes([self.labels[v] for v in self.complex.ids])
+        tops = sum(1 << mask.bit_length() - 1 for mask, _ in lanes if mask)
+        table = [(1 << b, sum(1 << k for k, c in enumerate(codes) if c >> b & 1))
+                 for b in range(tops.bit_length())]
+        return codes, table, tops
+
+    def _divisor_mask(self, m: int) -> int:
+        """V(m): the vertices whose label divides the lattice point with code
+        m, that is whose label code holds no bit outside m."""
         mask = (1 << len(self.complex.ids)) - 1
-        for column, e in zip(self._columns[0], exps):
-            mask &= column[e]
+        for bit, holders in self._codes[1]:
+            if not m & bit:
+                mask &= ~holders
         return mask
 
-    def _strict_members(self, exps: tuple[int, ...]) -> list[int]:
+    def _strict_members(self, m: int) -> list[int]:
         """Vertex masks of simplexes whose union is the strictly-below subcomplex.
 
         Write X_{<=m} (X_{<m}) for the faces whose label divides (strictly
@@ -125,15 +121,17 @@ class LabeledComplex:
         some p, so p is in supp(m) and lcm(F) divides m/x_p.  Conversely, if
         lcm(F) divides m/x_p with m_p > 0, it divides m and falls short of m
         in variable p.  A face label divides m' exactly when every vertex label
-        of the face does, so X_{<=m'} is the subcomplex induced on the vertex
-        set V(m') of the vertices whose label has exponent at most m'_p in
-        every p, spanned by the facets cut down to V(m').  For m' = m/x_p that
-        set is V(m) cut down to the vertices whose label has exponent below
-        m_p in p.  Here m is given by its exponents `exps`, a point of the lcm
-        lattice of the labels.
+        of the face does, so X_{<=m'} is the subcomplex induced on V(m'),
+        spanned by the facets cut down to V(m').  On codes, lane p of m is
+        2^r - 1 for the rank r of m_p, and a label's exponent in p is at least
+        m_p iff its lane holds bit r - 1, m's top bit in lane p: a bit of m
+        that is its lane's highest or has no bit of m above it.  So V(m/x_p)
+        is V(m) less the vertices that hold that bit.
         """
-        vm = self._divisor_mask(exps)
-        below = [vm & column[e] for column, e in zip(self._columns[1], exps) if e]
+        _, table, lane_tops = self._codes
+        vm = self._divisor_mask(m)
+        tops = m & (~(m >> 1) | lane_tops)
+        below = [vm & ~holders for bit, holders in table if tops & bit]
         return [fm & b for fm in self.complex.facet_masks for b in below]
 
 
@@ -187,12 +185,11 @@ def supports_resolution_quasitree(
             "connectivity criterion is inapplicable: the complex is not a quasi-forest"
         )
     facet_masks = lab.complex.facet_masks
-    for exps in ideal.sorted_lattice:
-        vm = lab._divisor_mask(exps)
+    for m in ideal.sorted_lattice:
+        vm = lab._divisor_mask(m)
         verdict = hml.connected_from_members([fm & vm for fm in facet_masks])
         if verdict is False:
-            witness = Monomial(ideal.table, exps)
-            return SupportReport(False, "quasi-forest connectivity", witness=witness)
+            return SupportReport(False, "quasi-forest connectivity", witness=ideal.decode(m))
     return SupportReport(True, "quasi-forest connectivity")
 
 
@@ -209,30 +206,21 @@ def _hub(facet_masks: tuple[int, ...]) -> int | None:
     return next((fm for fm in facet_masks if not shared & ~fm), None)
 
 
-def _hub_witness(lab: LabeledComplex, hub: int) -> Monomial | None:
-    """The sort-first lattice point whose restriction has two or more pieces,
-    or None; the proof is in `supports_resolution_homological`.
+def _hub_witness(lab: LabeledComplex, hub: int) -> int | None:
+    """The code of the sort-first lattice point whose restriction has two or
+    more pieces, or None; the proof is in `supports_resolution_homological`.
 
-    Labels are read as `thermometer_codes`: the code of lcm(l_v, l_u) is
-    c_v | c_u, l_w divides it when c_w & ~(c_v | c_u) == 0, and codes order
-    as `Monomial.sort_key` does."""
-    labels = [lab.labels[v] for v in lab.complex.ids]
-    codes, _ = thermometer_codes(labels)
+    Labels are read as `LabeledComplex._codes`: the code of lcm(l_v, l_u) is
+    c_v | c_u, and codes order as `Monomial.sort_key` does."""
+    codes = lab._codes[0]
     at = range(len(codes))
-    best = None
-    for fm in lab.complex.facet_masks:
-        inside = [codes[w] for w in at if (fm & hub) >> w & 1]
-        apart = [u for u in at if not fm >> u & 1]
-        for v in at:
-            if (fm & ~hub) >> v & 1:
-                for u in apart:
-                    m = codes[v] | codes[u]
-                    if all(w & ~m for w in inside) and (best is None or m < best[0]):
-                        best = (m, v, u)
-    if best is None:
-        return None
-    _, v, u = best
-    return labels[v].lcm(labels[u])
+    failing = [
+        codes[v] | codes[u]
+        for fm in lab.complex.facet_masks
+        for v in at if (fm & ~hub) >> v & 1
+        for u in at if not fm >> u & 1 and not fm & hub & lab._divisor_mask(codes[v] | codes[u])
+    ]
+    return min(failing, default=None)
 
 
 def supports_resolution_homological(
@@ -283,16 +271,15 @@ def supports_resolution_homological(
         witness = _hub_witness(lab, hub)
         if witness is None:
             return SupportReport(True, name)
-        return SupportReport(False, name, witness=witness, witness_dim=0)
-    for exps in ideal.sorted_lattice:
-        vm = lab._divisor_mask(exps)
+        return SupportReport(False, name, witness=ideal.decode(witness), witness_dim=0)
+    for m in ideal.sorted_lattice:
+        vm = lab._divisor_mask(m)
         members = [fm & vm for fm in facet_masks]
         if not any(members):
             continue
         ranks = hml.ranks_from_members(members, field, limits)
         if ranks:
-            witness = Monomial(ideal.table, exps)
-            return SupportReport(False, name, witness=witness, witness_dim=min(ranks))
+            return SupportReport(False, name, witness=ideal.decode(m), witness_dim=min(ranks))
     return SupportReport(True, name)
 
 
@@ -342,8 +329,8 @@ def betti_numbers(
 
     Restrictions whose strong-collapse cores are equal after renumbering are
     ranked once: the call keeps one `ranks_from_members` memo, which is
-    dropped when it returns.  The walk reads the lattice as exponent tuples
-    and builds a `Monomial` only for a multidegree with a nonzero entry.
+    dropped when it returns.  The walk reads the lattice as codes and
+    decodes only a multidegree with a nonzero entry.
     """
     report = supports_resolution_homological(lab, ideal, field, limits)
     if not report.supported:
@@ -351,12 +338,12 @@ def betti_numbers(
     graded: dict[tuple[int, Monomial], int] = {}
     total: dict[int, int] = {}
     memo: dict = {}
-    for exps in ideal.sorted_lattice:
+    for code in ideal.sorted_lattice:
         # all-zero member masks mean only the empty face survives, giving the
         # rank-1 contribution at homological dimension -1 (so beta_{0,m} = 1)
-        ranks = hml.ranks_from_members(lab._strict_members(exps), field, limits, memo)
+        ranks = hml.ranks_from_members(lab._strict_members(code), field, limits, memo)
         if ranks:
-            m = Monomial(ideal.table, exps)
+            m = ideal.decode(code)
             for d, r in ranks.items():
                 graded[(d + 1, m)] = r
                 total[d + 1] = total.get(d + 1, 0) + r
@@ -376,11 +363,19 @@ def labeled_to_json(lab: LabeledComplex) -> dict:
 
 
 def _vertex_id(v) -> int:
-    """An integer or integer string as a vertex id; 0.7 is not read as 0, nor
-    true as 1."""
-    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"vertex id {v} is not an integer")
-    return int(v)
+    """A JSON integer, or a string of an optional '-' and ASCII digits, as a
+    vertex id; 0.7 is not read as 0, true as 1, nor "1_0" as 10."""
+    integral = type(v) is int or type(v) is float and v.is_integer()
+    if integral or type(v) is str and re.fullmatch("-?[0-9]+", v):
+        return int(v)
+    raise ValueError(f"vertex id {v!r} is not an integer")
+
+
+def _array(value, read) -> list:
+    """read(x) for each x of a JSON array; a string or an object is not one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not an array")
+    return [read(x) for x in value]
 
 
 def _entry(obj: Mapping, key: str, read, default=None):
@@ -398,16 +393,14 @@ def labeled_from_json(obj: Mapping, table: VariableTable) -> LabeledComplex:
     vertex clash, and unknown keys are ignored."""
     if not isinstance(obj, Mapping) or obj.get("facets") is None:
         raise ValueError("complex JSON must be an object with a 'facets' entry")
-    facets = _entry(obj, "facets", lambda fs: [frozenset(map(_vertex_id, f)) for f in fs])
-    points = _entry(
-        obj, "vertices", lambda vs: [frozenset([_vertex_id(v)]) for v in vs], []
-    )
-    raw = _entry(obj, "labels", lambda raw: {int(k): str(v) for k, v in raw.items()})
+    facets = _entry(obj, "facets", lambda fs: _array(fs, lambda f: _array(f, _vertex_id)))
+    points = _entry(obj, "vertices", lambda vs: _array(vs, lambda v: [_vertex_id(v)]), [])
+    raw = _entry(obj, "labels", lambda raw: {_vertex_id(k): str(v) for k, v in raw.items()})
     if raw is None:
         raise ValueError("labeled complex JSON requires a 'labels' entry")
     if len(raw) < len(obj["labels"]):
-        count = Counter(int(k) for k in obj["labels"])
-        clash = [k for k in obj["labels"] if count[int(k)] > 1]
+        count = Counter(map(_vertex_id, obj["labels"]))
+        clash = [k for k in obj["labels"] if count[_vertex_id(k)] > 1]
         raise ValueError(f"complex JSON label keys {clash} name one vertex")
     try:
         labels = {v: parse_monomial(s, table) for v, s in raw.items()}

@@ -115,7 +115,7 @@ class Monomial:
 
 def thermometer_codes(
     gens: Sequence[Monomial],
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
     """Pack a nonempty list of monomials over one table into one int each.
 
     Each variable owns a lane, x_0's the most significant, and its levels: 0
@@ -123,8 +123,8 @@ def thermometer_codes(
     levels[r] of rank r.  The lane is len(levels) - 1 bits wide, at most
     len(gens) however large the exponents are, and an exponent of rank r is
     written in it as r low one-bits, the thermometer code 2^r - 1.  Returns
-    the codes, in list order, and the levels of each lane, x_0 first; a lane
-    holding 2^r - 1 has bit length r, so it decodes to levels[r].
+    the codes, in list order, and for each lane, x_0's first, the mask of its
+    bits and a map from each value it can hold, in place, to its level.
 
     For the codes c, d of list elements u, v:
 
@@ -150,15 +150,16 @@ def thermometer_codes(
             first._check_same_table(g)
     rows = [g.exponents for g in gens]
     thermometer = [(1 << r) - 1 for r in range(len(rows) + 1)]
+    levels = [sorted({0, *column}) for column in zip(*rows)]
+    shift = sum(map(len, levels)) - len(levels)
     codes = [0] * len(rows)
-    levels = []
-    # lanes are appended below the ones before them, so x_0's ends on top
-    for column in zip(*rows):
-        lane = sorted({0, *column})
-        levels.append(lane)
-        code = dict(zip(lane, thermometer))
-        codes = [c << len(lane) - 1 | code[e] for c, e in zip(codes, column)]
-    return codes, levels
+    lanes = []
+    for column, lane in zip(zip(*rows), levels):
+        shift -= len(lane) - 1
+        code = {e: t << shift for e, t in zip(lane, thermometer)}
+        lanes.append((thermometer[len(lane) - 1] << shift, {c: e for e, c in code.items()}))
+        codes = [c | code[e] for c, e in zip(codes, column)]
+    return codes, lanes
 
 
 def minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
@@ -241,40 +242,41 @@ class MonomialIdeal:
         return MonomialIdeal.minimal(products)
 
     @cached_property
-    def sorted_lattice(self) -> tuple[tuple[int, ...], ...]:
+    def encoding(self) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
+        """`thermometer_codes(self.gens)`, computed once per ideal."""
+        return thermometer_codes(self.gens)
+
+    @cached_property
+    def sorted_lattice(self) -> tuple[int, ...]:
         """`lcm_lattice(self)`, already in sort order, computed once per ideal."""
         return lcm_lattice(self)
+
+    def decode(self, code: int) -> Monomial:
+        """The monomial whose code under `self.encoding` is `code`, the code
+        of a generator or an or of them, such as a point of `lcm_lattice`."""
+        lanes = self.encoding[1]
+        return Monomial(self.table, tuple([level[code & mask] for mask, level in lanes]))
 
     def __str__(self) -> str:
         return format_ideal(self)
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    """The lcms of all nonempty generator subsets, as exponent tuples in
-    `Monomial.sort_key` order.
+def lcm_lattice(ideal: MonomialIdeal) -> tuple[int, ...]:
+    """The lcms of all nonempty generator subsets, as codes of
+    `ideal.encoding` in `Monomial.sort_key` order.
 
-    The closure runs on `thermometer_codes`, where the lcm is a bitwise or:
-    after generators g_1..g_k the set L holds every lcm of a nonempty subset
-    of them, and L | {a | g for a in L} | {g} extends that to g = g_{k+1}.
-    Sorting the ints sorts the monomials, and the codes decode lane by lane
-    into exponent tuples.  No `Monomial` is built; callers build one for
-    what they print.
+    The closure runs on the generators' thermometer codes, where the lcm is a
+    bitwise or: after generators g_1..g_k the set L holds every lcm of a
+    nonempty subset of them, and L | {a | g for a in L} | {g} extends that to
+    g = g_{k+1}.  Sorting the ints sorts the monomials (proven in
+    `thermometer_codes`).  Nothing is decoded; `ideal.decode` turns the
+    points a caller prints into monomials.
     """
-    codes, lanes = thermometer_codes(ideal.gens)
     lattice: set[int] = set()
-    for g in codes:
+    for g in ideal.encoding[0]:
         lattice |= {a | g for a in lattice}
         lattice.add(g)
-    ordered = sorted(lattice)
-    columns = []
-    shift = sum(map(len, lanes)) - len(lanes)
-    for levels in lanes:
-        width = len(levels) - 1
-        shift -= width
-        exponent = {((1 << r) - 1) << shift: e for r, e in enumerate(levels)}
-        lane = ((1 << width) - 1) << shift
-        columns.append(map(exponent.__getitem__, map(lane.__and__, ordered)))
-    return tuple(zip(*columns))
+    return tuple(sorted(lattice))
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,9 @@ def unmemoized_betti_numbers(lab, ideal, field=RATIONALS):
     """The Betti table `betti_numbers` reads off `lab`, with each restriction
     ranked on its own (no memo) and no support check."""
     total, graded = {}, {}
-    for exps in ideal.sorted_lattice:
-        for d, r in ranks_from_members(lab._strict_members(exps), field).items():
-            graded[(d + 1, Monomial(ideal.table, exps))] = r
+    for code in ideal.sorted_lattice:
+        for d, r in ranks_from_members(lab._strict_members(code), field).items():
+            graded[(d + 1, ideal.decode(code))] = r
             total[d + 1] = total.get(d + 1, 0) + r
     return BettiTable(total, graded)
 

@@ -437,6 +437,18 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
         # JSON true and false are not the vertex ids 1 and 0
         ({"facets": [[True, False]], "labels": labels}, "'facets'"),
         ({"facets": [[0, 1]], "vertices": [True], "labels": labels}, "'vertices'"),
+        # a string is not a list of ids: "01" is not the edge {0, 1}
+        ({"facets": ["01"], "labels": labels}, "'facets'"),
+        ({"facets": [[0]], "vertices": "1", "labels": labels}, "'vertices'"),
+        ({"facets": [[0]], "vertices": {"1": 1}, "labels": labels}, "'vertices'"),
+        # an id string is an optional '-' and ASCII digits, which int() is not
+        # held to: it reads "1_0" as 10 and "+1", " 1" or the Arabic-Indic
+        # digit one as 1
+        ({"facets": [[0], ["1_0"]], "labels": {"0": "x", "10": "y"}}, "'facets'"),
+        ({"facets": [[0, "+1"]], "labels": labels}, "'facets'"),
+        ({"facets": [[0, "\u0661"]], "labels": labels}, "'facets'"),
+        ({"facets": [[0], [10]], "labels": {"0": "x", "1_0": "y"}}, "'labels'"),
+        ({"facets": [[0, 1]], "labels": {"0": "x", " 1": "y"}}, "'labels'"),
         # a label for a vertex in no facet, though the labels are the generators
         ({"facets": [[0]], "labels": labels}, "vertices not in the complex: [1]"),
     ]

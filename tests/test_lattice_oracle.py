@@ -11,14 +11,14 @@ import random
 
 from lsquare.complexes import SimplicialComplex
 from lsquare.labeled import betti_numbers, taylor_complex
-from lsquare.monomials import Monomial, lcm_lattice, parse_ideal
+from lsquare.monomials import lcm_lattice, parse_ideal
 from lsquare.randoms import sample_ideal
 
 from oracles import reduced_homology_ranks
 
 
 def order_complex_graded_betti(ideal):
-    lattice = [Monomial(ideal.table, exps) for exps in lcm_lattice(ideal)]
+    lattice = [ideal.decode(code) for code in lcm_lattice(ideal)]
     graded = {}
     for m in lattice:
         below = [a for a in lattice if a != m and a.divides(m)]

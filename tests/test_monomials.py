@@ -238,16 +238,29 @@ def sorted_subset_lattice(ideal):
     return tuple(sorted(m.sort_key() for m in lcm_lattice_by_subsets(ideal)))
 
 
+def decoded_lattice(ideal):
+    """`lcm_lattice`'s codes decoded into exponent tuples, in its order."""
+    return tuple(ideal.decode(c).exponents for c in lcm_lattice(ideal))
+
+
 def test_lcm_lattice_examples():
     one_gen, _ = parse_ideal("ab")
-    assert lcm_lattice(one_gen) == ((1, 1),)
+    assert lcm_lattice(one_gen) == (0b11,)
+    assert decoded_lattice(one_gen) == ((1, 1),)
 
-    # a, b, c: bc < ab < abc as exponent tuples
+    # a, b, c: bc < ab < abc as exponent tuples and as codes
     two, _ = parse_ideal("ab,bc")
-    assert lcm_lattice(two) == ((0, 1, 1), (1, 1, 0), (1, 1, 1))
+    assert lcm_lattice(two) == (0b011, 0b110, 0b111)
+    assert decoded_lattice(two) == ((0, 1, 1), (1, 1, 0), (1, 1, 1))
 
     xyz, _ = parse_ideal("x,y,z")
     assert len(lcm_lattice(xyz)) == 7
+
+    # one bit for the lone nonzero exponent of x, however large
+    huge, _ = parse_ideal("x^1000000000,y")
+    assert lcm_lattice(huge) == (0b01, 0b10, 0b11)
+    assert decoded_lattice(huge) == sorted_subset_lattice(huge)
+    assert decoded_lattice(huge)[-1] == (10**9, 1)
 
 
 def test_lcm_lattice_closure_matches_subset_enumeration():
@@ -259,19 +272,20 @@ def test_lcm_lattice_closure_matches_subset_enumeration():
     rng = random.Random(13)
     for _ in range(20):
         ideal = random_squarefree_ideal(rng, 6, rng.randint(1, 5))
-        assert lcm_lattice(ideal) == sorted_subset_lattice(ideal)
+        assert decoded_lattice(ideal) == sorted_subset_lattice(ideal)
         square = ideal.power(2)
         if square.q <= 10:
-            assert lcm_lattice(square) == sorted_subset_lattice(square)
+            assert decoded_lattice(square) == sorted_subset_lattice(square)
     # a larger instance near the documented enumeration limit
     big = None
     while big is None:
         big = random_squarefree_ideal(rng, 9, 12)
-    assert lcm_lattice(big) == sorted_subset_lattice(big)
+    assert decoded_lattice(big) == sorted_subset_lattice(big)
 
 
 def test_lcm_lattice_with_huge_exponents_closes_fast():
-    # lanes are as wide as the number of distinct exponents, not their size
+    # lanes are as wide as the number of distinct exponents, not their size;
+    # x has five nonzero levels
     table = VariableTable(("x", "y", "z", "w"))
     gens = [
         (10**6, 3, 0, 1),
@@ -285,7 +299,8 @@ def test_lcm_lattice_with_huge_exponents_closes_fast():
     start = time.perf_counter()
     lattice = lcm_lattice(ideal)
     assert time.perf_counter() - start < 1.0
-    assert lattice == sorted_subset_lattice(ideal)
+    assert ideal.encoding[1][0][0].bit_count() == 5
+    assert decoded_lattice(ideal) == sorted_subset_lattice(ideal)
     assert ideal.sorted_lattice == lattice
 
 
@@ -309,15 +324,25 @@ def monomial_lists(draw):
 def test_thermometer_codes_agree_with_monomial_arithmetic(gens):
     codes, lanes = thermometer_codes(gens)
     assert len(lanes) == gens[0].table.n
-    assert all(len(levels) - 1 <= len(gens) for levels in lanes)
+    # the lanes are runs of at most len(gens) bits, x_0's on top, that tile
+    # the codes, and each maps its values 2^r - 1, in place, to level r
+    top = 0
+    shifts = []
+    for mask, level in reversed(lanes):
+        width, shift = mask.bit_count(), top.bit_length()
+        assert width <= len(gens) and mask == ((1 << width) - 1) << shift
+        levels = sorted(level.values())
+        assert level == {((1 << r) - 1) << shift: e for r, e in enumerate(levels)}
+        shifts.insert(0, shift)
+        top |= mask
+    assert all(c & ~top == 0 for c in codes)
 
     def decode(c):
-        exps = []
-        for levels in reversed(lanes):
-            width = len(levels) - 1
-            exps.append(levels[(c & (1 << width) - 1).bit_length()])
-            c >>= width
-        return tuple(reversed(exps))
+        """Each lane's level by its bit length, shifted down."""
+        return tuple(
+            sorted(level.values())[((c & mask) >> shift).bit_length()]
+            for (mask, level), shift in zip(lanes, shifts)
+        )
 
     for u, c in zip(gens, codes):
         assert decode(c) == u.exponents
@@ -460,5 +485,7 @@ def exponent_ideals(draw):
 @settings(max_examples=200)
 @given(exponent_ideals())
 def test_packed_lattice_matches_subset_enumeration(ideal):
+    codes, _ = ideal.encoding
+    assert [ideal.decode(c) for c in codes] == list(ideal.gens)
     assume(not ideal.is_squarefree())
-    assert lcm_lattice(ideal) == sorted_subset_lattice(ideal)
+    assert decoded_lattice(ideal) == sorted_subset_lattice(ideal)
