@@ -126,7 +126,7 @@ def _labeled_complex(args, ideal, target):
                 obj = json.load(fh)
             except RecursionError:
                 raise ValueError("complex JSON nests too deeply") from None
-        return labeled_from_json(obj, ideal.table), args.complex
+        return labeled_from_json(obj, target), args.complex
     if args.power == 2 and ideal.is_squarefree():
         return l2mod.l2_of_ideal(ideal)[0], _L2_SOURCE
     if target.q > args.max_taylor:
@@ -236,12 +236,12 @@ def cmd_check_support(args) -> int:
 
     failed = False
     try:
-        rep = supports_resolution_quasitree(lab, target)
+        rep = supports_resolution_quasitree(lab)
         print(f"quasi-forest connectivity criterion: {rep}")
         failed = failed or not rep.supported
     except NotQuasiForest:
         print("quasi-forest connectivity criterion: inapplicable (not a quasi-forest)")
-    rep_h = supports_resolution_homological(lab, target, field, limits)
+    rep_h = supports_resolution_homological(lab, field, limits)
     print(f"homological criterion: {rep_h}")
     failed = failed or not rep_h.supported
     return EXIT_FAIL if failed else EXIT_OK
@@ -255,9 +255,9 @@ def cmd_betti(args) -> int:
     target = _power(ideal, args)
     lab, source = _labeled_complex(args, ideal, target)
     if source == _L2_SOURCE:
-        table = l2mod.square_betti_numbers(lab, target, field, limits)
+        table = l2mod.square_betti_numbers(lab, field, limits)
     else:
-        table = betti_numbers(lab, target, field, limits=limits)
+        table = betti_numbers(lab, field, limits=limits)
     max_d = table.max_d
     if args.format == "json":
         print(json.dumps(table.to_json(), indent=2))

@@ -5,12 +5,12 @@ named as a vertex by its position in `pairs_of(q)` throughout.  Its facets
 are one "row" per index i (all pairs containing i) plus the set of all
 off-diagonal pairs; for q <= 2 the off-diagonal set is swallowed by the rows.
 Labeling pair (i, j) of L2_q with the product of generators i and j of a
-square-free ideal I, and keeping the vertices whose products
-`monomials.minimalize` keeps, the last of equal products, gives L2(I): the
-induced subcomplex of L2_q on those vertices, whose labels are exactly the
-minimal generators of I^2.  `l2_of_ideal` builds L2(I) directly on its
-surviving pairs; L2_q is L2 of the ideal of q distinct variables, where no
-pair product is redundant.
+square-free ideal I, and keeping the vertices whose products are minimal
+generators of I^2, the last of equal products, gives L2(I): the induced
+subcomplex of L2_q on those vertices, whose labels are exactly the minimal
+generators of I^2, the ideal it carries.  `l2_of_ideal` builds L2(I)
+directly on its surviving pairs; L2_q is L2 of the ideal of q distinct
+variables, where no pair product is redundant.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .labeled import (
     supports_resolution_homological,
     taylor_complex,
 )
-from .monomials import MonomialIdeal, minimalize
+from .monomials import MonomialIdeal
 
 
 def pairs_of(q: int) -> list[tuple[int, int]]:
@@ -88,14 +88,14 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
 
     Each pair product g_i * g_j is computed once, into one list in the order
     of `pairs_of(q)`, whose positions are the vertex ids: vertex k is labeled
-    from products[k].  The vertices kept are the products `minimalize` keeps;
-    of equal products the last position is kept, so the smaller position,
-    whose pair is the lexicographically smaller, is deleted.  No diagonal pair
-    is ever deleted (`DeletionRecord` raises `DiagonalDeleted` if one is).
-    By the paper's lemma the surviving labels are exactly the minimal
-    generators of I^2; the square itself is not built here.  Every support
-    criterion and `betti_numbers` check the labels against the caller's
-    square, and `verify` reports the comparison as `labels-match-square`.
+    from products[k].  The square is `MonomialIdeal.minimal(products)`, one
+    `minimalize` of that list, so its generators come in the order that
+    `MonomialIdeal.power(2)` gives them.  The vertices kept are its
+    generators; of equal products the last position is kept, so the smaller
+    position, whose pair is the lexicographically smaller, is deleted.  No
+    diagonal pair is ever deleted (`DeletionRecord` raises `DiagonalDeleted`
+    if one is).  The complex carries the square as its ideal, and `verify`
+    compares it with `power(2)` as `labels-match-square`.
     """
     for g in ideal.gens:
         if not g.is_squarefree():
@@ -104,8 +104,9 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
     pairs = pairs_of(q)
     gens = ideal.gens
     products = [gens[i - 1] * gens[j - 1] for i, j in pairs]
+    square = MonomialIdeal.minimal(products)
     last = {p: k for k, p in enumerate(products)}
-    kept = {last[p] for p in minimalize(products)}
+    kept = {last[g] for g in square.gens}
     deleted = [k for k in range(len(pairs)) if k not in kept]
     record = DeletionRecord(q, frozenset(pairs[k] for k in deleted))
 
@@ -121,12 +122,11 @@ def l2_of_ideal(ideal: MonomialIdeal) -> tuple[LabeledComplex, DeletionRecord]:
             off_diagonal.add(k)
     sub = SimplicialComplex.from_facets([*rows, off_diagonal])
     labels = {k: products[k] for k in sorted(kept)}
-    return LabeledComplex(sub, labels, ideal.table), record
+    return LabeledComplex(sub, labels, square), record
 
 
 def square_betti_numbers(
     lab: LabeledComplex,
-    square: MonomialIdeal,
     field: Field = RATIONALS,
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> BettiTable:
@@ -138,14 +138,15 @@ def square_betti_numbers(
     facets, so `supports_resolution_homological` decides it by label tests
     on vertex pairs, ranking nothing; the proof is in that docstring.
     Betti numbers are invariants of the square, so any supporting complex
-    gives them; they are read off the Taylor complex, whose strictly-below
-    restriction at m is a union of at most |supp m| simplexes, one per
-    variable of m, where L2(I) has one per facet and variable.
+    gives them; they are read off `taylor_complex(lab.ideal)`, whose
+    strictly-below restriction at m is a union of at most |supp m|
+    simplexes, one per variable of m, where L2(I) has one per facet and
+    variable.
     """
-    report = supports_resolution_homological(lab, square, field, limits)
+    report = supports_resolution_homological(lab, field, limits)
     if not report.supported:
         raise UnsupportedComplex(report.witness, report.witness_dim)
-    return betti_numbers(taylor_complex(square), square, field, limits)
+    return betti_numbers(taylor_complex(lab.ideal), field, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,6 @@ def bound_table(
         ("complex", [deletion_face_bound(record, d) for d in ds]),
     ]
     if include_exact:
-        table = square_betti_numbers(lab, ideal.power(2), field, limits)
+        table = square_betti_numbers(lab, field, limits)
         rows.append(("betti", table.as_vector(max_d)))
     return BoundTable(q, record.s, record.t, max_d, rows)

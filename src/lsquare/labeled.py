@@ -1,8 +1,9 @@
 """Monomial-labeled complexes, support criteria, and the exact Betti oracle.
 
-A labeled complex carries one monomial per vertex; a face is labeled by the
-lcm of its vertex labels.  Such a complex "supports a free resolution" of a
-monomial ideal exactly when, for every multidegree m in the lcm lattice, the
+A labeled complex carries a monomial ideal and one of its minimal generators
+per vertex, each generator on exactly one vertex; a face is labeled by the
+lcm of its vertex labels.  Such a complex "supports a free resolution" of its
+ideal exactly when, for every multidegree m in the lcm lattice, the
 subcomplex induced on the vertices whose labels divide m is empty or acyclic.
 For quasi-forests the acyclicity can be replaced by mere connectivity, a
 second, independent route to the verdict, which also cross-checks the label
@@ -11,11 +12,11 @@ is in `supports_resolution_homological`).  The multigraded Betti numbers are
 then read off the supported complex: beta_{d,m} is the reduced homology rank
 in dimension d-1 of the subcomplex of faces whose label strictly divides m.
 
-The walks take lattice points as the ideal's thermometer codes, one int
-each, cut each restriction out of the facet masks with one table per complex
-that maps each code bit to the vertices whose label code holds it, and decode
-into a `Monomial` only a support witness or a multidegree with a nonzero
-Betti number.
+The walks take the complex alone and read its ideal's lattice points as the
+codes of `ideal.encoding`, one int each.  They cut each restriction out of
+the facet masks with one table per complex that maps each code bit to the
+vertices whose label code holds it, and decode into a `Monomial` only a
+support witness or a multidegree with a nonzero Betti number.
 
 `labeled_to_json` and `labeled_from_json` are the one writer and reader of
 the complex file that `--complex` takes and `build-l2 --format json` writes.
@@ -34,13 +35,7 @@ from . import complexes as cx
 from . import homology as hml
 from .complexes import SimplicialComplex
 from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    VariableTable,
-    parse_monomial,
-    thermometer_codes,
-)
+from .monomials import Monomial, MonomialIdeal, parse_monomial
 
 
 class NotQuasiForest(ValueError):
@@ -59,9 +54,12 @@ class UnsupportedComplex(ValueError):
 
 @dataclass(frozen=True, eq=True)
 class LabeledComplex:
+    """A complex whose vertices are labeled by the minimal generators of
+    `ideal`, one generator per vertex; the constructor enforces the pairing."""
+
     complex: SimplicialComplex
     labels: Mapping[int, Monomial]
-    table: VariableTable
+    ideal: MonomialIdeal
 
     def __post_init__(self):
         labels = dict(self.labels)
@@ -72,29 +70,26 @@ class LabeledComplex:
         stray = labels.keys() - self.complex.vertices
         if stray:
             raise ValueError(f"labels for vertices not in the complex: {sorted(stray)}")
-        for m in labels.values():
-            if m.table != self.table:
-                raise ValueError("label over a different variable table")
+        if len(labels) != self.ideal.q or set(labels.values()) != set(self.ideal.gens):
+            raise ValueError(
+                "vertex labels do not biject with the ideal's minimal generators"
+            )
 
     def face_label(self, face: Iterable[int]) -> Monomial:
-        m = self.table.one()
+        m = self.ideal.table.one()
         for v in face:
             m = m.lcm(self.labels[v])
         return m
 
     @cached_property
     def _codes(self) -> tuple[list[int], list[tuple[int, int]], int]:
-        """The labels' `thermometer_codes` in sorted vertex order, as in
-        `SimplicialComplex.facet_masks`; each code bit with the mask of the
-        vertices whose label code holds it; and the mask of each lane's top bit.
-
-        Labels that are an ideal's generators, as `check_labels_match`
-        enforces, get the codes that `ideal.encoding` gives them, so the
-        ideal's lattice points read against them.  Proof: a code depends only
-        on the monomial's exponents and the lanes' levels, and lane p's
-        levels, 0 and the exponents of x_p that occur, depend only on the set
-        of monomials, not on their order."""
-        codes, lanes = thermometer_codes([self.labels[v] for v in self.complex.ids])
+        """The labels' codes, looked up in `ideal.encoding`, in sorted vertex
+        order as in `SimplicialComplex.facet_masks`; each code bit with the
+        mask of the vertices whose label code holds it; and the mask of each
+        lane's top bit.  The ideal's lattice points are ors of the same codes."""
+        gen_codes, lanes = self.ideal.encoding
+        by_label = dict(zip(self.ideal.gens, gen_codes))
+        codes = [by_label[self.labels[v]] for v in self.complex.ids]
         tops = sum(1 << mask.bit_length() - 1 for mask, _ in lanes if mask)
         table = [(1 << b, sum(1 << k for k, c in enumerate(codes) if c >> b & 1))
                  for b in range(tops.bit_length())]
@@ -142,17 +137,8 @@ def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(
         SimplicialComplex.from_facets([facet]),
         {k: g for k, g in enumerate(ideal.gens)},
-        ideal.table,
+        ideal,
     )
-
-
-def check_labels_match(lab: LabeledComplex, ideal: MonomialIdeal) -> None:
-    """Raise ValueError unless the labels are the minimal generators, one each."""
-    labels = list(lab.labels.values())
-    if len(labels) != len(ideal.gens) or set(labels) != set(ideal.gens):
-        raise ValueError(
-            "vertex labels do not biject with the ideal's minimal generators"
-        )
 
 
 @dataclass(frozen=True)
@@ -169,9 +155,7 @@ class SupportReport:
         return f"FAIL ({self.criterion}; witness {self.witness}{extra})"
 
 
-def supports_resolution_quasitree(
-    lab: LabeledComplex, ideal: MonomialIdeal
-) -> SupportReport:
+def supports_resolution_quasitree(lab: LabeledComplex) -> SupportReport:
     """Connectivity criterion: every lcm-lattice restriction is empty or connected.
 
     Only valid on quasi-forests; anything else is rejected so it stays clear
@@ -179,12 +163,11 @@ def supports_resolution_quasitree(
     where the acyclicity criterion has a hub certificate, so that in
     `check-support` and `verify` it checks that certificate independently.
     """
-    check_labels_match(lab, ideal)
     if cx.quasi_forest_order(lab.complex) is None:
         raise NotQuasiForest(
             "connectivity criterion is inapplicable: the complex is not a quasi-forest"
         )
-    facet_masks = lab.complex.facet_masks
+    ideal, facet_masks = lab.ideal, lab.complex.facet_masks
     for m in ideal.sorted_lattice:
         vm = lab._divisor_mask(m)
         verdict = hml.connected_from_members([fm & vm for fm in facet_masks])
@@ -225,7 +208,6 @@ def _hub_witness(lab: LabeledComplex, hub: int) -> int | None:
 
 def supports_resolution_homological(
     lab: LabeledComplex,
-    ideal: MonomialIdeal,
     field: Field = RATIONALS,
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> SupportReport:
@@ -256,15 +238,14 @@ def supports_resolution_homological(
       comes first in `Monomial.sort_key` order.  So the sort-first failing
       pair lcm is the walk's witness, in dimension 0.
 
-    A lone facet is a hub with no vertex outside it, so a simplex passes
-    once its labels match.  A complex with no hub, such as a hollow triangle,
-    is walked: each restriction at a point of the lcm lattice is ranked
-    with `homology.ranks_from_members`.  `supports_resolution_quasitree`
-    walks every point whatever the complex, so `check-support` and `verify`
+    A lone facet is a hub with no vertex outside it, so a simplex passes.  A
+    complex with no hub, such as a hollow triangle, is walked: each
+    restriction at a point of the lcm lattice is ranked with
+    `homology.ranks_from_members`.  `supports_resolution_quasitree` walks
+    every point whatever the complex, so `check-support` and `verify`
     cross-check the certificate on every quasi-forest, L2(I) among them.
     """
-    check_labels_match(lab, ideal)
-    facet_masks = lab.complex.facet_masks
+    ideal, facet_masks = lab.ideal, lab.complex.facet_masks
     name = f"homological over {field}"
     hub = _hub(facet_masks)
     if hub is not None:
@@ -316,11 +297,10 @@ class BettiTable:
 
 def betti_numbers(
     lab: LabeledComplex,
-    ideal: MonomialIdeal,
     field: Field = RATIONALS,
     limits: HomologyLimits = DEFAULT_LIMITS,
 ) -> BettiTable:
-    """Multigraded Betti numbers of `ideal` read off a supporting complex.
+    """Multigraded Betti numbers of `lab.ideal` read off a supporting complex.
 
     beta_{d,m} = rank of reduced homology in dimension d-1 of the subcomplex of
     faces with label strictly dividing m, for m running over the lcm lattice
@@ -332,9 +312,10 @@ def betti_numbers(
     dropped when it returns.  The walk reads the lattice as codes and
     decodes only a multidegree with a nonzero entry.
     """
-    report = supports_resolution_homological(lab, ideal, field, limits)
+    report = supports_resolution_homological(lab, field, limits)
     if not report.supported:
         raise UnsupportedComplex(report.witness, report.witness_dim)
+    ideal = lab.ideal
     graded: dict[tuple[int, Monomial], int] = {}
     total: dict[int, int] = {}
     memo: dict = {}
@@ -387,10 +368,11 @@ def _entry(obj: Mapping, key: str, read, default=None):
         raise ValueError(f"complex JSON has a malformed {key!r} entry") from None
 
 
-def labeled_from_json(obj: Mapping, table: VariableTable) -> LabeledComplex:
-    """The labeled complex a `labeled_to_json` object describes; a declared
-    vertex in no facet is isolated, a singleton facet, label keys naming one
-    vertex clash, and unknown keys are ignored."""
+def labeled_from_json(obj: Mapping, ideal: MonomialIdeal) -> LabeledComplex:
+    """The complex a `labeled_to_json` object describes, labeled by the
+    minimal generators of `ideal`; a declared vertex in no facet is isolated,
+    a singleton facet, label keys naming one vertex clash, and unknown keys
+    are ignored."""
     if not isinstance(obj, Mapping) or obj.get("facets") is None:
         raise ValueError("complex JSON must be an object with a 'facets' entry")
     facets = _entry(obj, "facets", lambda fs: _array(fs, lambda f: _array(f, _vertex_id)))
@@ -403,7 +385,7 @@ def labeled_from_json(obj: Mapping, table: VariableTable) -> LabeledComplex:
         clash = [k for k in obj["labels"] if count[_vertex_id(k)] > 1]
         raise ValueError(f"complex JSON label keys {clash} name one vertex")
     try:
-        labels = {v: parse_monomial(s, table) for v, s in raw.items()}
+        labels = {v: parse_monomial(s, ideal.table) for v, s in raw.items()}
     except ValueError as exc:
         raise ValueError(f"complex JSON has a malformed 'labels' entry: {exc}") from None
-    return LabeledComplex(SimplicialComplex.from_facets(facets + points), labels, table)
+    return LabeledComplex(SimplicialComplex.from_facets(facets + points), labels, ideal)

@@ -23,7 +23,6 @@ from .homology import DEFAULT_LIMITS, Field, HomologyLimits, RATIONALS
 from .labeled import (
     NotQuasiForest,
     betti_numbers,
-    check_labels_match,
     supports_resolution_homological,
     supports_resolution_quasitree,
     taylor_complex,
@@ -239,9 +238,7 @@ def _checks_and_invariants(
     except l2.DiagonalDeleted as exc:
         out.append(CheckResult("diagonal-survives", False, str(exc)))
         return out, None
-    try:
-        check_labels_match(lab, square)
-    except ValueError:
+    if set(lab.ideal.gens) != set(square.gens):
         out.append(
             CheckResult(
                 "labels-match-square",
@@ -256,7 +253,7 @@ def _checks_and_invariants(
     out.append(CheckResult("diagonal-survives", True))
     # the connectivity criterion runs the quasi-forest test itself
     try:
-        rep_c = supports_resolution_quasitree(lab, square)
+        rep_c = supports_resolution_quasitree(lab)
     except NotQuasiForest as exc:
         out.append(CheckResult("quasi-forest", False))
         out.append(CheckResult("support-connectivity", False, str(exc)))
@@ -267,7 +264,7 @@ def _checks_and_invariants(
                 "support-connectivity", rep_c.supported, str(rep_c.witness or "")
             )
         )
-    rep_h = supports_resolution_homological(lab, square, field, limits)
+    rep_h = supports_resolution_homological(lab, field, limits)
     out.append(
         CheckResult(
             "support-homology",
@@ -278,8 +275,8 @@ def _checks_and_invariants(
 
     # bounds chain: exact betti <= deletion bound == f-vector counted over the
     # facet nerve <= skeleton bound, through every dimension with a nonzero
-    # entry anywhere
-    beta = betti_numbers(taylor_complex(square), square, field, limits=limits)
+    # entry anywhere; Taylor on lab.ideal reuses the lattice walked above
+    beta = betti_numbers(taylor_complex(lab.ideal), field, limits=limits)
     top = max(q * (q - 1) // 2 - 1, q - 1, beta.max_d) + 1
     fv = cx.f_vector(lab.complex, limits)
     chain_ok = True

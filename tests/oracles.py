@@ -3,12 +3,14 @@
 Everything here is deliberately naive and shares no code with the package
 beyond its value types: faces come from itertools over explicit vertex tuples,
 matrices are dense lists, ranks are computed with Fraction (or mod-p) Gaussian
-elimination, restrictions filter explicit faces by their labels, the nerve is
-grown level by level over shared vertices, renumbering maps vertices one at a
-time, facets are maximalized by pairwise comparison of frozensets, the skeleton
-L2_q (`l2_skeleton`) is built from its definition on the closed-form pair
-positions, and the quasi-forest references search every leaf order or test
-the chordal-graph characterization directly.
+elimination, restrictions filter explicit faces by their labels into plain
+complexes (their labels are only some of the ideal's generators), the
+oracles that walk a lattice take a labeled complex alone and walk its own
+ideal's, the nerve is grown level by level over shared vertices, renumbering
+maps vertices one at a time, facets are maximalized by pairwise comparison of
+frozensets, the skeleton L2_q (`l2_skeleton`) is built from its definition on
+the closed-form pair positions, and the quasi-forest references search every
+leaf order or test the chordal-graph characterization directly.
 
 Five kinds of entry are the exception, and say so:
 `plain_ranks_from_face_masks` ranks every face of every dimension as a mask
@@ -42,7 +44,7 @@ from lsquare.homology import (
     ranks_from_face_masks,
     ranks_from_members,
 )
-from lsquare.labeled import BettiTable, LabeledComplex
+from lsquare.labeled import BettiTable
 from lsquare.monomials import Monomial, MonomialIdeal, VariableTable
 
 
@@ -227,9 +229,10 @@ def relabelled(members):
     return tuple(out)
 
 
-def unmemoized_betti_numbers(lab, ideal, field=RATIONALS):
+def unmemoized_betti_numbers(lab, field=RATIONALS):
     """The Betti table `betti_numbers` reads off `lab`, with each restriction
     ranked on its own (no memo) and no support check."""
+    ideal = lab.ideal
     total, graded = {}, {}
     for code in ideal.sorted_lattice:
         for d, r in ranks_from_members(lab._strict_members(code), field).items():
@@ -299,17 +302,13 @@ def _label_exponents(lab, face):
     """Exponents of the lcm of the face's vertex labels (zeros for the empty face)."""
     rows = [lab.labels[v].exponents for v in face]
     if not rows:
-        return (0,) * lab.table.n
+        return (0,) * lab.ideal.table.n
     return tuple(max(col) for col in zip(*rows))
 
 
-def _restrict_faces(lab, faces):
-    sub = SimplicialComplex.from_facets(faces)
-    return LabeledComplex(sub, {v: lab.labels[v] for v in sub.vertices}, lab.table)
-
-
 def restrict_divides(lab, m):
-    """The subcomplex induced on the vertices whose labels divide m.
+    """The subcomplex induced on the vertices whose labels divide m, as a
+    plain complex: its labels, those of `lab`, are only some of the ideal's.
 
     Kept faces are the explicit faces all of whose vertex labels divide m.
     """
@@ -320,11 +319,12 @@ def restrict_divides(lab, m):
         if all(a <= b for a, b in zip(lab.labels[v].exponents, target))
     }
     faces = brute_faces(lab.complex.facets)
-    return _restrict_faces(lab, [f for f in faces if set(f) <= keep])
+    return SimplicialComplex.from_facets([f for f in faces if set(f) <= keep])
 
 
 def restrict_strict(lab, m):
-    """The subcomplex of faces whose label strictly divides m.
+    """The subcomplex of faces whose label strictly divides m, as a plain
+    complex, like `restrict_divides`.
 
     This is a face-filtered subcomplex, not an induced one: a face can consist
     of strict divisors yet have label exactly m.
@@ -335,17 +335,17 @@ def restrict_strict(lab, m):
         label = _label_exponents(lab, f)
         if label != target and all(a <= b for a, b in zip(label, target)):
             kept.append(f)
-    return _restrict_faces(lab, kept)
+    return SimplicialComplex.from_facets(kept)
 
 
-def walk_support(lab, ideal):
+def walk_support(lab):
     """The homological support criterion by its definition, as (supported,
-    witness, witness_dim): the first point of `lcm_lattice_by_subsets` in
-    `sort_key` order whose `restrict_divides` restriction has nonzero
-    `brute_reduced_homology`, with its lowest such dimension, or
+    witness, witness_dim): the first point of `lcm_lattice_by_subsets` of
+    `lab.ideal` in `sort_key` order whose `restrict_divides` restriction has
+    nonzero `brute_reduced_homology`, with its lowest such dimension, or
     (True, None, None) when there is none."""
-    for m in sorted(lcm_lattice_by_subsets(ideal), key=Monomial.sort_key):
-        ranks = brute_reduced_homology(restrict_divides(lab, m).complex.facets)
+    for m in sorted(lcm_lattice_by_subsets(lab.ideal), key=Monomial.sort_key):
+        ranks = brute_reduced_homology(restrict_divides(lab, m).facets)
         nonzero = [d for d, r in ranks.items() if r]
         if nonzero:
             return False, m, min(nonzero)

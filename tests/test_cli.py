@@ -325,7 +325,7 @@ def test_betti_of_a_square_still_checks_that_l2_supports_it(monkeypatch, capsys)
         delta = complexes.SimplicialComplex.from_facets(
             [{v} for v in lab.complex.vertices]
         )
-        return LabeledComplex(delta, lab.labels, lab.table), record
+        return LabeledComplex(delta, lab.labels, lab.ideal), record
 
     monkeypatch.setattr(l2, "l2_of_ideal", points)
     for argv in (["betti", "--power", "2", "x,y"], ["bounds", "x,y"]):
@@ -451,6 +451,9 @@ def test_a_malformed_complex_file_is_a_clear_error(tmp_path, capsys, command):
         ({"facets": [[0, 1]], "labels": {"0": "x", " 1": "y"}}, "'labels'"),
         # a label for a vertex in no facet, though the labels are the generators
         ({"facets": [[0]], "labels": labels}, "vertices not in the complex: [1]"),
+        # labels that are not the ideal's generators (xy is not one of x,y)
+        # are refused as the file is read, before check-support's header
+        ({"facets": [[0, 1]], "labels": {"0": "x", "1": "xy"}}, "do not biject"),
     ]
     path = tmp_path / "complex.json"
     for obj, key in shapes:
@@ -477,6 +480,27 @@ def test_label_keys_that_name_one_vertex_are_an_error(tmp_path, capsys, command)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert "'0'" in err and "'00'" in err
+
+
+def test_each_square_path_closes_one_lattice(monkeypatch, capsys):
+    # the support checks and the Taylor read-off walk the lattice of one
+    # ideal object, the square that L2(I) carries, so it is closed once
+    from lsquare import monomials
+    from lsquare.randoms import SHARPNESS_IDEAL_TEXT, ideal_checks
+
+    calls = []
+    real = monomials.lcm_lattice
+    monkeypatch.setattr(monomials, "lcm_lattice", lambda ideal: calls.append(1) or real(ideal))
+    sharp = monomials.parse_ideal(SHARPNESS_IDEAL_TEXT)[0]
+    assert all(c.passed for c in ideal_checks(sharp)) and len(calls) == 1
+    for argv in (
+        ["betti", "--power", "2", "abe,bc,cdf,ad"],
+        ["check-support", "--power", "2", "--ideal", "abe,bc,cdf,ad"],
+        ["bounds", "abe,bc,cdf,ad"],
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1, argv
 
 
 def test_a_clash_among_many_label_keys_is_found_without_pairwise_counting(tmp_path):

@@ -169,6 +169,9 @@ def test_labels_are_the_square_generators():
         lab, record = l2_of_ideal(ideal)
         square = ideal.power(2)
         assert set(lab.labels.values()) == set(square.gens)
+        # the same generators in the same order, so the Taylor read-off on
+        # lab.ideal prints what one on the power would
+        assert lab.ideal.gens == square.gens
         assert record.s == square.q
         assert all(i != j for i, j in record.deleted)
         assert sum(record.t) == 2 * len(record.deleted)
@@ -215,9 +218,9 @@ def test_l2_of_ideal_deletes_what_the_pairwise_oracle_drops(ideal):
     assert lab.complex == induced_subcomplex(l2_skeleton(ideal.q), kept)
 
 
-def test_l2_of_ideal_builds_no_square(monkeypatch):
-    # the labels come from one pair-product table; comparing them with the
-    # square is the caller's check, on the square the caller already holds
+def test_l2_of_ideal_builds_no_power(monkeypatch):
+    # the labels and the square they generate come from one pair-product
+    # table, minimalized once; no power of the ideal is built
     def no_power(self, r):
         raise AssertionError("l2_of_ideal built a power of the ideal")
 
@@ -227,6 +230,7 @@ def test_l2_of_ideal_builds_no_square(monkeypatch):
     lab, record = l2_of_ideal(I)
     labels = list(lab.labels.values())
     assert len(labels) == square.q and set(labels) == set(square.gens)
+    assert lab.ideal == square
     assert record.deleted == {(1, 3)}
 
 
@@ -315,7 +319,7 @@ def test_bound_table_principal_ideal():
 
 def test_sharpness_betti_equals_skeleton_f_vector(sharpness_ideal):
     lab, record = l2_of_ideal(sharpness_ideal)
-    beta = betti_numbers(lab, sharpness_ideal.power(2))
+    beta = betti_numbers(lab)
     assert beta.as_vector() == [10, 27, 32, 19, 6, 1]
 
 
@@ -332,7 +336,7 @@ def test_pair_extremal_square_is_minimally_resolved_by_l2(q, field):
     ideal = pair_extremal_ideal(q)
     lab, record = l2_of_ideal(ideal)
     assert not record.deleted
-    beta = square_betti_numbers(lab, ideal.power(2), field)
+    beta = square_betti_numbers(lab, field)
     top = comb(q + 1, 2)
     assert beta.as_vector(top) == [skeleton_face_bound(q, d) for d in range(top + 1)]
     faces = [f for f in brute_faces(lab.complex.facets) if f]

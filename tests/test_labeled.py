@@ -48,10 +48,14 @@ def mono(text, table=XYZ):
     return parse_monomial(text, table)
 
 
+def labeled(delta, labels):
+    """`delta` labeled by `labels`, whose ideal they generate minimally."""
+    return LabeledComplex(delta, labels, MonomialIdeal.minimal(list(labels.values())))
+
+
 def hollow_triangle_xyz():
     delta = SimplicialComplex.from_facets([{0, 1}, {1, 2}, {0, 2}])
-    labels = {0: mono("x"), 1: mono("y"), 2: mono("z")}
-    return LabeledComplex(delta, labels, XYZ)
+    return labeled(delta, {0: mono("x"), 1: mono("y"), 2: mono("z")})
 
 
 def figure_complex():
@@ -67,15 +71,32 @@ def figure_complex():
         4: mono("yz"),
         5: mono("z^2"),
     }
-    return LabeledComplex(delta, labels, XYZ)
+    return labeled(delta, labels)
 
 
 def test_labeled_complex_validates_labels():
     delta = SimplicialComplex.from_facets([{0, 1}])
+    two = MonomialIdeal.minimal([mono("x"), mono("y")])
     with pytest.raises(ValueError, match="unlabeled vertices"):
-        LabeledComplex(delta, {0: mono("x")}, XYZ)
+        LabeledComplex(delta, {0: mono("x")}, two)
     with pytest.raises(ValueError, match=r"not in the complex: \[2\]"):
-        LabeledComplex(delta, {0: mono("x"), 1: mono("y"), 2: mono("z")}, XYZ)
+        LabeledComplex(delta, {0: mono("x"), 1: mono("y"), 2: mono("z")}, two)
+    assert LabeledComplex(delta, {0: mono("y"), 1: mono("x")}, two).ideal is two
+    # the labels must be the ideal's generators, one per vertex: a missing
+    # generator, a repeated one, a foreign label (xy is not a minimal
+    # generator of (x, y)) and a label over another table are refused
+    path = SimplicialComplex.from_facets([{0, 1}, {1, 2}])
+    three = MonomialIdeal.minimal([mono("x"), mono("y"), mono("z")])
+    other = VariableTable(("x", "y", "w"))
+    for complex_, labels, ideal in (
+        (delta, {0: mono("x"), 1: mono("y")}, three),
+        (delta, {0: mono("x"), 1: mono("x")}, two),
+        (path, {0: mono("x"), 1: mono("y"), 2: mono("x")}, two),
+        (delta, {0: mono("x"), 1: mono("xy")}, two),
+        (delta, {0: mono("x"), 1: mono("y", other)}, two),
+    ):
+        with pytest.raises(ValueError, match="^vertex labels do not biject with"):
+            LabeledComplex(complex_, labels, ideal)
 
 
 def test_face_label_is_lcm():
@@ -110,45 +131,44 @@ def test_taylor_complex_has_no_vertex_cap():
 def test_restrict_divides_examples():
     lab = figure_complex()
     everything = restrict_divides(lab, top_label(lab))
-    assert everything.complex == lab.complex
+    assert everything == lab.complex
 
     # m = x^2yz keeps x^2, xy, xz and also yz (yz divides x^2yz)
     sub = restrict_divides(lab, mono("x^2yz"))
-    assert {format_monomial(sub.labels[v]) for v in sub.complex.vertices} == {
+    assert {format_monomial(lab.labels[v]) for v in sub.vertices} == {
         "x^2", "xy", "xz", "yz",
     }
-    assert sorted(len(f) - 1 for f in sub.complex.facets) == [2, 2]
+    assert sorted(len(f) - 1 for f in sub.facets) == [2, 2]
 
     # in the deleted running-example complex, only the first square divides itself
     I, _ = parse_ideal("abe,bc,cdf,ad")
     labI, _ = l2_of_ideal(I)
     m1sq = I.gens[0] * I.gens[0]
     point = restrict_divides(labI, m1sq)
-    assert len(point.complex.vertices) == 1
-    assert point.labels[next(iter(point.complex.vertices))] == m1sq
+    assert len(point.vertices) == 1
+    assert labI.labels[next(iter(point.vertices))] == m1sq
 
 
 def test_restrict_strict_examples():
     # a single labeled point: nothing strictly divides its own label
-    point = LabeledComplex(
-        SimplicialComplex.from_facets([{0}]), {0: mono("xy")}, XYZ
-    )
+    point = labeled(SimplicialComplex.from_facets([{0}]), {0: mono("xy")})
     strict = restrict_strict(point, mono("xy"))
-    assert not strict.complex.vertices and not strict.complex.is_void
+    assert not strict.vertices and not strict.is_void
 
     # hollow triangle: every face label strictly divides xyz
     tri = hollow_triangle_xyz()
-    assert restrict_strict(tri, mono("xyz")).complex == tri.complex
+    assert restrict_strict(tri, mono("xyz")) == tri.complex
 
     # taylor complex of (x, y): the edge is labeled xy and drops out
     two, _ = parse_ideal("x,y")
     t = taylor_complex(two)
     strict = restrict_strict(t, parse_monomial("xy", two.table))
-    assert sorted(len(f) for f in strict.complex.facets) == [1, 1]
+    assert sorted(len(f) for f in strict.facets) == [1, 1]
 
 
-def assert_masks_match_oracles(lab, ideal, tag):
+def assert_masks_match_oracles(lab, tag):
     # the labels are coded as the ideal's generators, whatever the vertex order
+    ideal = lab.ideal
     by_label = dict(zip(ideal.gens, ideal.encoding[0]))
     assert lab._codes[0] == [by_label[lab.labels[v]] for v in lab.complex.ids], tag
 
@@ -161,11 +181,11 @@ def assert_masks_match_oracles(lab, ideal, tag):
     for code in ideal.sorted_lattice:
         m = ideal.decode(code)
         vm = lab._divisor_mask(code)
-        want = restrict_divides(lab, m).complex
+        want = restrict_divides(lab, m)
         assert set(vertices_of(vm)) == want.vertices, (tag, m)
         got = [vertices_of(fm & vm) for fm in facet_masks]
         assert brute_faces(got) == brute_faces(want.facets), (tag, m)
-        want = restrict_strict(lab, m).complex
+        want = restrict_strict(lab, m)
         got = [vertices_of(mask) for mask in lab._strict_members(code)]
         assert brute_faces(got) == brute_faces(want.facets), (tag, m)
 
@@ -184,13 +204,13 @@ def test_mask_restrictions_agree_with_the_oracles():
     reordered = 0
     for ideal in ideals:
         lab, _ = l2_of_ideal(ideal)
-        square = ideal.power(2)
+        square = lab.ideal
+        assert square.gens == ideal.power(2).gens
         reordered += [lab.labels[v] for v in lab.complex.ids] != list(square.gens)
-        assert_masks_match_oracles(lab, square, str(ideal))
+        assert_masks_match_oracles(lab, str(ideal))
     assert reordered
 
-    E, _ = parse_ideal("x^2,y^2,z^2,xy,xz,yz")
-    assert_masks_match_oracles(figure_complex(), E, "figure")
+    assert_masks_match_oracles(figure_complex(), "figure")
 
     table = VariableTable(tuple("abcd"))
     top = 0
@@ -202,83 +222,73 @@ def test_mask_restrictions_agree_with_the_oracles():
             gens.append(Monomial(table, tuple(exps)))
         ideal = MonomialIdeal.minimal(gens)
         top = max(top, *(max(g.exponents) for g in ideal.gens))
-        assert_masks_match_oracles(taylor_complex(ideal), ideal, str(ideal))
+        assert_masks_match_oracles(taylor_complex(ideal), str(ideal))
     assert top > 2
 
 
 def test_support_quasitree_examples():
     I, _ = parse_ideal("abe,bc,cdf,ad")
     labI, _ = l2_of_ideal(I)
-    assert supports_resolution_quasitree(labI, I.power(2)).supported
-
-    E, _ = parse_ideal("x^2,y^2,z^2,xy,xz,yz")
-    assert supports_resolution_quasitree(figure_complex(), E).supported
+    assert supports_resolution_quasitree(labI).supported
+    assert supports_resolution_quasitree(figure_complex()).supported
 
     # a path plus an isolated vertex misses the connectivity test at m = xz
     # (and at m = yz); any witness must name a genuinely disconnected restriction
-    path = LabeledComplex(
+    path = labeled(
         SimplicialComplex.from_facets([{0, 1}, {2}]),
         {0: mono("x"), 1: mono("y"), 2: mono("z")},
-        XYZ,
     )
-    three, _ = parse_ideal("x,y,z")
-    report = supports_resolution_quasitree(path, three)
+    report = supports_resolution_quasitree(path)
     assert not report.supported
     assert format_monomial(report.witness) in {"xz", "yz"}
     bad = restrict_divides(path, report.witness)
-    assert bad.complex.vertices and not is_connected(bad.complex)
+    assert bad.vertices and not is_connected(bad)
 
 
 def test_support_quasitree_rejects_non_quasi_forests():
-    three, _ = parse_ideal("x,y,z")
     with pytest.raises(NotQuasiForest):
-        supports_resolution_quasitree(hollow_triangle_xyz(), three)
+        supports_resolution_quasitree(hollow_triangle_xyz())
 
 
 def test_support_criteria_reject_label_mismatch():
+    # the criteria take a labeled complex alone, and no labeled complex, built
+    # or loaded from JSON, has labels other than its ideal's generators
     two, _ = parse_ideal("x,y")
-    path = LabeledComplex(
-        SimplicialComplex.from_facets([{0, 1}, {1, 2}]),
-        {0: mono("x"), 1: mono("y"), 2: mono("z")},
-        XYZ,
-    )
-    with pytest.raises(ValueError):
-        supports_resolution_quasitree(path, two)
-    with pytest.raises(ValueError):
-        supports_resolution_homological(path, two)
+    delta = SimplicialComplex.from_facets([{0, 1}, {1, 2}])
+    labels = {0: mono("x", two.table), 1: mono("y", two.table), 2: mono("x", two.table)}
+    with pytest.raises(ValueError, match="do not biject"):
+        LabeledComplex(delta, labels, two)
+    obj = {"facets": [[0, 1], [1, 2]], "labels": {"0": "x", "1": "y", "2": "x"}}
+    with pytest.raises(ValueError, match="do not biject"):
+        labeled_from_json(obj, two)
 
 
 def test_support_homological_examples():
     rng = random.Random(31)
     for _ in range(10):
         ideal = sample_ideal(rng, 6, 4)
-        assert supports_resolution_homological(
-            taylor_complex(ideal), ideal
-        ).supported
+        assert supports_resolution_homological(taylor_complex(ideal)).supported
 
-    three, _ = parse_ideal("x,y,z")
-    report = supports_resolution_homological(hollow_triangle_xyz(), three)
+    report = supports_resolution_homological(hollow_triangle_xyz())
     assert not report.supported
     assert format_monomial(report.witness) == "xyz" and report.witness_dim == 1
 
     J, _ = parse_ideal("x,y,z,w")
     labJ, _ = l2_of_ideal(J)
-    assert supports_resolution_homological(labJ, J.power(2)).supported
+    assert supports_resolution_homological(labJ).supported
 
 
 def test_betti_numbers_figure_complex():
-    E, _ = parse_ideal("x^2,y^2,z^2,xy,xz,yz")
     lab = figure_complex()
     assert betti_upper_bounds(lab).as_vector() == [6, 9, 4]
-    table = betti_numbers(lab, E)
+    table = betti_numbers(lab)
     assert table.as_vector() == [6, 8, 3]
     assert table.as_vector(5) == [6, 8, 3, 0, 0, 0]
 
 
 def test_betti_numbers_reject_unsupported():
-    three, _ = parse_ideal("x,y,z")
     with pytest.raises(UnsupportedComplex) as err:
-        betti_numbers(hollow_triangle_xyz(), three)
+        betti_numbers(hollow_triangle_xyz())
     assert format_monomial(err.value.witness) == "xyz"
 
 
@@ -286,7 +296,7 @@ def test_betti_total_zero_is_generator_count():
     rng = random.Random(32)
     for _ in range(10):
         ideal = sample_ideal(rng, 6, 4)
-        table = betti_numbers(taylor_complex(ideal), ideal)
+        table = betti_numbers(taylor_complex(ideal))
         assert table.total[0] == ideal.q
         assert table.total[0] == sum(
             r for (d, _m), r in table.graded.items() if d == 0
@@ -295,7 +305,7 @@ def test_betti_total_zero_is_generator_count():
 
 def test_graded_carries_only_lattice_multidegrees():
     ideal, _ = parse_ideal("x,y,z")
-    table = betti_numbers(taylor_complex(ideal), ideal)
+    table = betti_numbers(taylor_complex(ideal))
     lattice = {ideal.decode(code) for code in lcm_lattice(ideal)}
     assert all(m in lattice for (_d, m) in table.graded)
 
@@ -333,8 +343,8 @@ def test_oracle_equivalence_between_complexes():
         square = ideal.power(2)
         labL, _ = l2_of_ideal(ideal)
         for field in (RATIONALS, PrimeField(2)):
-            a = betti_numbers(labL, square, field)
-            b = betti_numbers(taylor_complex(square), square, field)
+            a = betti_numbers(labL, field)
+            b = betti_numbers(taylor_complex(square), field)
             assert a.total == b.total
             assert a.graded == b.graded
 
@@ -356,17 +366,15 @@ def ideal_of(rows):
 @settings(max_examples=25, deadline=None)
 def test_memoized_betti_numbers_equal_the_unmemoized_loop(squarefree, rows):
     ideal = ideal_of(squarefree)
-    square = ideal.power(2)
-    other = ideal_of(rows)
     cases = (
-        (l2_of_ideal(ideal)[0], square),
-        (taylor_complex(square), square),
-        (taylor_complex(other), other),
+        l2_of_ideal(ideal)[0],
+        taylor_complex(ideal.power(2)),
+        taylor_complex(ideal_of(rows)),
     )
     for field in (RATIONALS, PrimeField(2), PrimeField(3)):
-        for lab, target in cases:
-            got = betti_numbers(lab, target, field)
-            want = unmemoized_betti_numbers(lab, target, field)
+        for lab in cases:
+            got = betti_numbers(lab, field)
+            want = unmemoized_betti_numbers(lab, field)
             assert got.total == want.total
             assert got.graded == want.graded
 
@@ -386,10 +394,10 @@ def test_betti_numbers_rank_each_core_once_per_call(monkeypatch):
     taylor = taylor_complex(ideal)
     # the 26 restrictions at lcms of two to five variables are simplex
     # boundaries, one core per size
-    first = betti_numbers(taylor, ideal)
+    first = betti_numbers(taylor)
     assert len(calls) == 4
     # the memo does not outlive the call
-    second = betti_numbers(taylor, ideal)
+    second = betti_numbers(taylor)
     assert len(calls) == 8
     assert first.as_vector() == second.as_vector() == [5, 10, 10, 5, 1]
 
@@ -409,24 +417,22 @@ def test_one_facet_support_check_ranks_nothing_but_checks_labels(monkeypatch):
     square = ideal.power(2)
     q8 = random_squarefree_ideal(random.Random(11), 10, 8)
     # a simplex is its own hub, and L2(I)'s hub is its off-diagonal facet
-    for lab, target in (
-        (taylor_complex(square), square),
-        (l2_of_ideal(ideal)[0], square),
-        (l2_of_ideal(q8)[0], q8.power(2)),
-    ):
-        assert supports_resolution_homological(lab, target).supported
+    for lab in (taylor_complex(square), l2_of_ideal(ideal)[0], l2_of_ideal(q8)[0]):
+        assert supports_resolution_homological(lab).supported
     assert calls == []
-    with pytest.raises(ValueError):
-        supports_resolution_homological(taylor_complex(ideal), square)
-    with pytest.raises(ValueError):
-        supports_resolution_homological(l2_of_ideal(ideal)[0], ideal)
+    # the labels are checked when the complex is made: Taylor's of I labeled
+    # by the square, and L2(I) labeled by I
+    taylor, l2 = taylor_complex(ideal), l2_of_ideal(ideal)[0]
+    with pytest.raises(ValueError, match="do not biject"):
+        LabeledComplex(taylor.complex, taylor.labels, square)
+    with pytest.raises(ValueError, match="do not biject"):
+        LabeledComplex(l2.complex, l2.labels, ideal)
     # no facet of the hollow triangle holds the three shared vertices
-    three, _ = parse_ideal("x,y,z")
-    assert not supports_resolution_homological(hollow_triangle_xyz(), three).supported
+    assert not supports_resolution_homological(hollow_triangle_xyz()).supported
     assert calls
 
 
-def assert_certificate_is_the_walk(lab, ideal):
+def assert_certificate_is_the_walk(lab):
     """The hub certificate reports what `oracles.walk_support` does, and ranks
     no restriction."""
     import lsquare.homology as hml
@@ -436,10 +442,8 @@ def assert_certificate_is_the_walk(lab, ideal):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hml, "ranks_from_members", no_ranks)
-        report = supports_resolution_homological(lab, ideal)
-    assert (report.supported, report.witness, report.witness_dim) == walk_support(
-        lab, ideal
-    )
+        report = supports_resolution_homological(lab)
+    assert (report.supported, report.witness, report.witness_dim) == walk_support(lab)
 
 
 @st.composite
@@ -456,25 +460,25 @@ def hub_complexes(draw):
             private.setdefault(draw(st.integers(0, 2)), set()).add(v)
     facets = [hub] + [p | draw(st.sets(st.sampled_from(every))) & hub for p in private.values()]
     delta = SimplicialComplex.from_facets(facets)
-    return LabeledComplex(delta, dict(enumerate(gens)), FIVE), ideal
+    return LabeledComplex(delta, dict(enumerate(gens)), ideal)
 
 
 def path_xyz():
     """The path x - y - z: its hub is either edge, and it fails at xz."""
     delta = SimplicialComplex.from_facets([{0, 1}, {1, 2}])
-    return LabeledComplex(delta, {0: mono("x"), 1: mono("y"), 2: mono("z")}, XYZ)
+    return labeled(delta, {0: mono("x"), 1: mono("y"), 2: mono("z")})
 
 
 @given(hub_complexes())
-@example((path_xyz(), parse_ideal("x,y,z")[0]))
+@example(path_xyz())
 @settings(max_examples=60, deadline=None)
-def test_hub_certificate_equals_the_lattice_walk(case):
-    assert_certificate_is_the_walk(*case)
+def test_hub_certificate_equals_the_lattice_walk(lab):
+    assert_certificate_is_the_walk(lab)
 
 
 def l2_part(ideal, keep):
     """The rows and the off-diagonal set of L2(I) cut to the vertices `keep`,
-    with the ideal of their labels.  The off-diagonal pairs are the vertices
+    labeled by the ideal of their labels.  The off-diagonal pairs are the vertices
     shared by two facets, so the cut has a hub."""
     lab, _ = l2_of_ideal(ideal)
     pairs = pairs_of(ideal.q)
@@ -482,7 +486,7 @@ def l2_part(ideal, keep):
     off_diagonal = {k for k in keep if len(set(pairs[k])) == 2}
     delta = SimplicialComplex.from_facets([*rows, off_diagonal])
     labels = {k: lab.labels[k] for k in keep}
-    return LabeledComplex(delta, labels, lab.table), MonomialIdeal.minimal(list(labels.values()))
+    return labeled(delta, labels)
 
 
 @st.composite
@@ -496,8 +500,8 @@ def l2_parts(draw):
 # two diagonal vertices, x^2 and y^2, are two points apart
 @example(l2_part(parse_ideal("x,y,z")[0], {0, 3}))
 @settings(max_examples=40, deadline=None)
-def test_hub_certificate_equals_the_walk_on_parts_of_l2(case):
-    assert_certificate_is_the_walk(*case)
+def test_hub_certificate_equals_the_walk_on_parts_of_l2(lab):
+    assert_certificate_is_the_walk(lab)
 
 
 def test_criteria_agree_on_random_quasi_forests():
@@ -533,9 +537,9 @@ def test_criteria_agree_on_random_quasi_forests():
             continue
         if ideal.q != len(labels):
             continue
-        lab = LabeledComplex(delta, labels, table)
-        conn = supports_resolution_quasitree(lab, ideal)
-        homo = supports_resolution_homological(lab, ideal)
+        lab = LabeledComplex(delta, labels, ideal)
+        conn = supports_resolution_quasitree(lab)
+        homo = supports_resolution_homological(lab)
         assert conn.supported == homo.supported, (facets, labels)
 
 
@@ -543,22 +547,19 @@ def test_fixture_examples_are_field_independent():
     # the worked examples have the same Betti tables over Q, GF(2), and GF(3);
     # random inputs are compared per-field elsewhere instead of assumed equal
     fields = (RATIONALS, PrimeField(2), PrimeField(3))
-    E, _ = parse_ideal("x^2,y^2,z^2,xy,xz,yz")
-    tables = [betti_numbers(figure_complex(), E, f) for f in fields]
+    tables = [betti_numbers(figure_complex(), f) for f in fields]
     assert tables[0].total == tables[1].total == tables[2].total
 
     for text in ("x,y,z,w", "abe,bc,cdf,ad", "xabc,yade,zbdf,wcef"):
         ideal, _ = parse_ideal(text)
         lab, _ = l2_of_ideal(ideal)
-        square = ideal.power(2)
-        tables = [betti_numbers(lab, square, f) for f in fields]
+        tables = [betti_numbers(lab, f) for f in fields]
         assert tables[0].total == tables[1].total == tables[2].total
         assert tables[0].graded == tables[1].graded == tables[2].graded
 
 
 def test_field_round_trip_and_betti_json():
-    E, _ = parse_ideal("x^2,y^2,z^2,xy,xz,yz")
-    table = betti_numbers(figure_complex(), E)
+    table = betti_numbers(figure_complex())
     obj = table.to_json()
     assert obj["total"] == {str(d): r for d, r in table.total.items()}
     assert {(e["d"], e["m"]): e["rank"] for e in obj["graded"]} == {
@@ -583,7 +584,7 @@ def test_labeled_json_round_trip():
         for lab in (l2, taylor_complex(ideal)):
             text = json.dumps(labeled_to_json(lab))
             for obj in (json.loads(text), {**json.loads(text), **extra}):
-                again = labeled_from_json(obj, ideal.table)
+                again = labeled_from_json(obj, lab.ideal)
                 assert again.complex == lab.complex, ideal
                 assert dict(again.labels) == dict(lab.labels), ideal
                 assert json.dumps(labeled_to_json(again)) == text, ideal
@@ -594,9 +595,10 @@ def test_json_round_trip():
     abc = VariableTable(("a", "b", "c"))
     delta = SimplicialComplex.from_facets([{1, 2}, {3}])
     labels = {1: mono("a", abc), 2: mono("b", abc), 3: mono("c", abc)}
-    obj = labeled_to_json(LabeledComplex(delta, labels, abc))
+    lab = labeled(delta, labels)
+    obj = labeled_to_json(lab)
     assert obj["labels"] == {"1": "a", "2": "b", "3": "c"}
-    back = labeled_from_json(obj, abc)
+    back = labeled_from_json(obj, lab.ideal)
     assert back.complex == delta
     assert {v: str(m) for v, m in back.labels.items()} == {1: "a", 2: "b", 3: "c"}
 
@@ -607,7 +609,7 @@ def test_json_restores_isolated_vertices():
         "facets": [[1, 2]],
         "labels": {"1": "x", "2": "y", "5": "z"},
     }
-    back = labeled_from_json(obj, XYZ)
+    back = labeled_from_json(obj, parse_ideal("x,y,z")[0])
     assert back.complex.vertices == {1, 2, 5}
 
 
@@ -615,4 +617,4 @@ def test_json_facets_print_in_vertex_order_not_mask_order():
     # over ids (1, 2, 3) the mask of {2} is below that of {1, 3}
     delta = SimplicialComplex.from_facets([{1, 3}, {2}])
     labels = {1: mono("x"), 2: mono("y"), 3: mono("z")}
-    assert labeled_to_json(LabeledComplex(delta, labels, XYZ))["facets"] == [[1, 3], [2]]
+    assert labeled_to_json(labeled(delta, labels))["facets"] == [[1, 3], [2]]

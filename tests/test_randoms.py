@@ -4,7 +4,9 @@ import pytest
 
 from lsquare import complexes as cx
 from lsquare import l2
-from lsquare.monomials import format_ideal, minimalize, parse_ideal
+from lsquare.complexes import SimplicialComplex
+from lsquare.labeled import LabeledComplex
+from lsquare.monomials import MonomialIdeal, format_ideal, minimalize, parse_ideal
 from lsquare.randoms import (
     SweepConfig,
     generator_triple_property,
@@ -66,8 +68,6 @@ def test_sharpness_fixture_checks():
 
 
 def test_sharpness_fixture_builds_one_square_and_one_l2(monkeypatch):
-    from lsquare.monomials import MonomialIdeal
-
     counts = {"power": 0, "l2_of_ideal": 0}
     power, build = MonomialIdeal.power, l2.l2_of_ideal
 
@@ -124,13 +124,20 @@ def test_ideal_checks_reports_a_non_quasi_forest(monkeypatch):
 
 
 def test_ideal_checks_stops_when_the_labels_miss_a_square_generator(monkeypatch):
-    # drop one more off-diagonal product than minimalize does: the labels then
-    # miss a minimal generator of the square, and nothing after runs on them;
-    # at q = 4, position 1 of pairs_of is the pair (1, 2)
-    real = l2.minimalize
-    monkeypatch.setattr(
-        l2, "minimalize", lambda products: [p for p in real(products) if p != products[1]]
-    )
+    # drop one more off-diagonal pair than l2_of_ideal does: the complex's
+    # ideal then misses a minimal generator of the square, and nothing after
+    # runs on it; at q = 4, position 1 of pairs_of is the pair (1, 2)
+    real = l2.l2_of_ideal
+
+    def short(ideal):
+        lab, record = real(ideal)
+        keep = lab.complex.vertices - {1}
+        delta = SimplicialComplex.from_facets([f & keep for f in lab.complex.facets])
+        labels = {k: lab.labels[k] for k in keep}
+        square = MonomialIdeal.minimal(list(labels.values()))
+        return LabeledComplex(delta, labels, square), record
+
+    monkeypatch.setattr(l2, "l2_of_ideal", short)
     ideal, _ = parse_ideal("abe,bc,cdf,ad")
     results = ideal_checks(ideal)
     assert [c.name for c in results] == ["square-size", "labels-match-square"]
@@ -141,17 +148,22 @@ def test_ideal_checks_stops_when_the_labels_miss_a_square_generator(monkeypatch)
 
 
 def test_ideal_checks_reports_a_deleted_diagonal_pair(monkeypatch):
-    # at q = 4, position 4 of pairs_of is the pair (2, 2)
-    real = l2.minimalize
-    monkeypatch.setattr(
-        l2, "minimalize", lambda products: [p for p in real(products) if p != products[4]]
-    )
+    # a deletion record that holds a diagonal pair raises DiagonalDeleted
+    # where l2_of_ideal builds it; at q = 4, (2, 2) is position 4 of pairs_of
+    real = l2.l2_of_ideal
+
+    def diagonal(ideal):
+        lab, record = real(ideal)
+        return lab, l2.DeletionRecord(record.q, record.deleted | {(2, 2)})
+
+    monkeypatch.setattr(l2, "l2_of_ideal", diagonal)
     ideal, _ = parse_ideal("abe,bc,cdf,ad")
     results = ideal_checks(ideal)
     assert [(c.name, c.passed) for c in results] == [
         ("square-size", True),
         ("diagonal-survives", False),
     ]
+    assert results[1].detail == "diagonal pair (2,2) deleted"
 
 
 def test_brute_generator_checks_name_the_first_witness():
