@@ -29,7 +29,7 @@ from .labeled import (
     supports_resolution_quasitree,
     taylor_complex,
 )
-from .monomials import ParseError, format_ideal, format_monomial, parse_ideal
+from .monomials import format_ideal, format_monomial, parse_ideal
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -94,32 +94,35 @@ def _check_q_cap(q: int, args) -> None:
         raise ResourceLimit("ideal has too many generators", "max-q", q, args.max_q)
 
 
-def _power(ideal, args):
-    """The power r = --power of the ideal.  r is checked, and so are the
-    r * C(q + r - 1, r) generator factors of its products against
-    --max-products, before any product is built; I^1 is the ideal itself.
-    Building costs one multiplication per factor, so the check bounds that
-    work also where C(q + r - 1, r) is small, as for a huge r with q = 1."""
+def _check_power(ideal, args) -> int:
+    """r = --power, checked, and so are the r * C(q + r - 1, r) generator
+    factors of the products of I^r against --max-products, before any
+    product is built.  Building costs one multiplication per factor, so the
+    check bounds that work also where C(q + r - 1, r) is small, as for a huge
+    r with q = 1."""
     r = args.power
     if r < 1:
         raise ValueError("power exponent must be >= 1")
-    if r == 1:
-        return ideal
     factors = r * comb(ideal.q + r - 1, r)
-    if factors > args.max_products:
+    if r > 1 and factors > args.max_products:
         raise ResourceLimit(
             "power has too many generator factors in its products", "max-products",
             factors, args.max_products,
         )
-    return ideal.power(r)
+    return r
 
 
 _L2_SOURCE = "L2 complex of the ideal"
 
 
-def _labeled_complex(args, ideal, target):
+def _labeled_complex(args, ideal):
     """The complex named by --complex, else L2(I) for a square, else Taylor's,
-    which only here is capped by --max-taylor."""
+    which only here is capped by --max-taylor.  L2(I) carries the square it
+    is labeled by, so only the other two build the power, I^1 being I."""
+    r = _check_power(ideal, args)
+    if not args.complex and r == 2 and ideal.is_squarefree():
+        return l2mod.l2_of_ideal(ideal)[0], _L2_SOURCE
+    target = ideal.power(r) if r > 1 else ideal
     if args.complex:
         with open(args.complex) as fh:
             try:
@@ -127,8 +130,6 @@ def _labeled_complex(args, ideal, target):
             except RecursionError:
                 raise ValueError("complex JSON nests too deeply") from None
         return labeled_from_json(obj, target), args.complex
-    if args.power == 2 and ideal.is_squarefree():
-        return l2mod.l2_of_ideal(ideal)[0], _L2_SOURCE
     if target.q > args.max_taylor:
         raise ResourceLimit(
             "Taylor complex has too many vertices", "max-taylor", target.q, args.max_taylor
@@ -162,12 +163,11 @@ def _betti_rows(table: BettiTable, max_d: int, graded: bool) -> list[tuple[str, 
     rows: list[tuple[str, list]] = [("beta", table.as_vector(max_d))]
     if graded and table.graded:
         per_m: dict = {}
-        for (d, m), r in table.graded.items():
-            per_m.setdefault(m, {})[d] = r
-        for m in sorted(per_m, key=lambda m: (m.degree(), m.sort_key())):
-            rows.append(
-                (format_monomial(m), [per_m[m].get(d, 0) for d in range(max_d + 1)])
-            )
+        for (d, code), r in table.graded.items():
+            per_m.setdefault(code, [0] * (max_d + 1))[d] = r
+        names = {code: table.ideal.decode(code) for code in per_m}
+        for code in sorted(per_m, key=lambda c: (names[c].degree(), c)):
+            rows.append((format_monomial(names[code]), per_m[code]))
     return rows
 
 
@@ -178,7 +178,8 @@ def _betti_rows(table: BettiTable, max_d: int, graded: bool) -> list[tuple[str, 
 
 def cmd_power(args) -> int:
     ideal = _parse_ideal_arg(args)
-    power = _power(ideal, args)
+    r = _check_power(ideal, args)
+    power = ideal.power(r) if r > 1 else ideal
     if args.format == "json":
         print(
             json.dumps(
@@ -230,8 +231,7 @@ def cmd_check_support(args) -> int:
     _check_q_cap(ideal.q, args)
     field = parse_field(args.field)
     limits = _limits(args)
-    target = _power(ideal, args)
-    lab, source = _labeled_complex(args, ideal, target)
+    lab, source = _labeled_complex(args, ideal)
     print(f"complex: {source} ({len(lab.complex.vertices)} vertices)")
 
     failed = False
@@ -252,8 +252,7 @@ def cmd_betti(args) -> int:
     _check_q_cap(ideal.q, args)
     field = parse_field(args.field)
     limits = _limits(args)
-    target = _power(ideal, args)
-    lab, source = _labeled_complex(args, ideal, target)
+    lab, source = _labeled_complex(args, ideal)
     if source == _L2_SOURCE:
         table = l2mod.square_betti_numbers(lab, field, limits)
     else:
@@ -415,9 +414,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except UnsupportedComplex as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -15,8 +15,8 @@ in dimension d-1 of the subcomplex of faces whose label strictly divides m.
 The walks take the complex alone and read its ideal's lattice points as the
 codes of `ideal.encoding`, one int each.  They cut each restriction out of
 the facet masks with one table per complex that maps each code bit to the
-vertices whose label code holds it, and decode into a `Monomial` only a
-support witness or a multidegree with a nonzero Betti number.
+vertices whose label code holds it, and decode only a support witness into
+a `Monomial`; a `BettiTable` keys its entries by code.
 
 `labeled_to_json` and `labeled_from_json` are the one writer and reader of
 the complex file that `--complex` takes and `build-l2 --format json` writes.
@@ -264,16 +264,21 @@ def supports_resolution_homological(
     return SupportReport(True, name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BettiTable:
-    """Total and multigraded Betti numbers; zero entries are dropped."""
+    """The nonzero Betti numbers beta_{d,m} of `ideal`, keyed by d and the
+    code of m in `ideal.encoding`, and their totals; codes sort as
+    `Monomial.sort_key` does, and only the printers decode them."""
 
-    total: dict[int, int]
-    graded: dict[tuple[int, Monomial], int]
+    ideal: MonomialIdeal
+    graded: dict[tuple[int, int], int]
 
-    def __post_init__(self):
-        self.total = {d: r for d, r in self.total.items() if r}
-        self.graded = {k: r for k, r in self.graded.items() if r}
+    @cached_property
+    def total(self) -> dict[int, int]:
+        total: dict[int, int] = {}
+        for (d, _), r in self.graded.items():
+            total[d] = total.get(d, 0) + r
+        return total
 
     @property
     def max_d(self) -> int:
@@ -284,13 +289,12 @@ class BettiTable:
         return [self.total.get(d, 0) for d in range(top + 1)]
 
     def to_json(self) -> dict:
+        names = {c: str(self.ideal.decode(c)) for c in {c for _, c in self.graded}}
         return {
             "total": {str(d): r for d, r in sorted(self.total.items())},
             "graded": [
-                {"d": d, "m": str(m), "rank": r}
-                for (d, m), r in sorted(
-                    self.graded.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
-                )
+                {"d": d, "m": names[code], "rank": r}
+                for (d, code), r in sorted(self.graded.items())
             ],
         }
 
@@ -309,26 +313,21 @@ def betti_numbers(
 
     Restrictions whose strong-collapse cores are equal after renumbering are
     ranked once: the call keeps one `ranks_from_members` memo, which is
-    dropped when it returns.  The walk reads the lattice as codes and
-    decodes only a multidegree with a nonzero entry.
+    dropped when it returns.  The walk reads the lattice as codes, keys
+    each nonzero entry by its code and decodes nothing.
     """
     report = supports_resolution_homological(lab, field, limits)
     if not report.supported:
         raise UnsupportedComplex(report.witness, report.witness_dim)
-    ideal = lab.ideal
-    graded: dict[tuple[int, Monomial], int] = {}
-    total: dict[int, int] = {}
+    graded: dict[tuple[int, int], int] = {}
     memo: dict = {}
-    for code in ideal.sorted_lattice:
+    for code in lab.ideal.sorted_lattice:
         # all-zero member masks mean only the empty face survives, giving the
         # rank-1 contribution at homological dimension -1 (so beta_{0,m} = 1)
         ranks = hml.ranks_from_members(lab._strict_members(code), field, limits, memo)
-        if ranks:
-            m = ideal.decode(code)
-            for d, r in ranks.items():
-                graded[(d + 1, m)] = r
-                total[d + 1] = total.get(d + 1, 0) + r
-    return BettiTable(total, graded)
+        for d, r in ranks.items():
+            graded[(d + 1, code)] = r
+    return BettiTable(lab.ideal, graded)
 
 
 # JSON: {"vertices": [...], "facets": [[...]], "labels": {"id": "monomial"}}.

@@ -24,7 +24,8 @@ and renumbers them by the package's double `_transpose`, the reference that
 `l2_of_ideal`, which builds L2(I) on its surviving pairs, is checked against;
 and the small helpers at the end
 (`reduced_homology_ranks`, `is_connected`, `delete_vertex`, `top_label`,
-`pair_index`, `variable`, ...) are conveniences only the tests use.
+`pair_index`, `variable`, ...) and `graded_monomials`, which decodes a Betti
+table's code keys, are conveniences only the tests use.
 """
 
 import warnings
@@ -232,13 +233,17 @@ def relabelled(members):
 def unmemoized_betti_numbers(lab, field=RATIONALS):
     """The Betti table `betti_numbers` reads off `lab`, with each restriction
     ranked on its own (no memo) and no support check."""
-    ideal = lab.ideal
-    total, graded = {}, {}
-    for code in ideal.sorted_lattice:
+    graded = {}
+    for code in lab.ideal.sorted_lattice:
         for d, r in ranks_from_members(lab._strict_members(code), field).items():
-            graded[(d + 1, ideal.decode(code))] = r
-            total[d + 1] = total.get(d + 1, 0) + r
-    return BettiTable(total, graded)
+            graded[(d + 1, code)] = r
+    return BettiTable(lab.ideal, graded)
+
+
+def graded_monomials(table):
+    """A Betti table's graded entries keyed by (d, multidegree monomial), so
+    that tables over different ideals, and hand-made expectations, compare."""
+    return {(d, table.ideal.decode(code)): r for (d, code), r in table.graded.items()}
 
 
 def brute_connected(facets):
@@ -495,9 +500,9 @@ def top_label(lab):
 
 
 def betti_upper_bounds(lab):
-    """Face counts of the complex, an entrywise bound for the Betti numbers."""
-    total = dict(enumerate(enumerated_f_vector(lab.complex)))
-    return BettiTable(total, {})
+    """Face counts of the complex by dimension, an entrywise bound for the
+    Betti numbers; a bound is not a Betti entry, so it is a plain list."""
+    return list(enumerated_f_vector(lab.complex))
 
 
 def pair_index(q, i, j):

@@ -28,6 +28,7 @@ from lsquare.monomials import parse_ideal, parse_monomial
 from oracles import (
     backtrack_leaf_order,
     betti_upper_bounds,
+    graded_monomials,
     is_chordal_clique_complex,
     l2_skeleton,
     variables_ideal,
@@ -69,7 +70,7 @@ def figure_complex_and_ideal():
 def test_criterion_1_quadrics_example():
     with criterion(1, "six-quadrics example: bounds (6,9,4), betti (6,8,3)"):
         lab, ideal = figure_complex_and_ideal()
-        assert betti_upper_bounds(lab).as_vector() == [6, 9, 4]
+        assert betti_upper_bounds(lab) == [6, 9, 4]
         table = betti_numbers(lab)
         assert table.as_vector(6) == [6, 8, 3, 0, 0, 0, 0]
 
@@ -176,7 +177,7 @@ def test_criterion_8_oracle_equivalence(sweep_ideals, running_ideal, four_variab
                 ours = betti_numbers(lab, field)
                 taylor = betti_numbers(taylor_complex(ideal), field)
                 assert ours.total == taylor.total, str(ideal)
-                assert ours.graded == taylor.graded, str(ideal)
+                assert graded_monomials(ours) == graded_monomials(taylor), str(ideal)
 
         lab1, ideal1 = figure_complex_and_ideal()
         assert_equivalent(lab1, ideal1)

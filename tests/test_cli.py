@@ -210,7 +210,7 @@ def test_power_warns_on_nonminimal_input(capsys):
 
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "power", "ab,?")
-    assert code == 1 and "position" in err
+    assert code == 1 and err == "error: unexpected character '?' (at position 3)\n"
     code, _, err = run(capsys, "power", "")
     assert code == 1
 
@@ -501,6 +501,78 @@ def test_each_square_path_closes_one_lattice(monkeypatch, capsys):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and len(calls) == 1, argv
+
+
+def test_only_printed_multidegrees_are_decoded(monkeypatch, capsys):
+    # Betti tables key their entries by lattice codes: a caller that reads
+    # totals decodes no multidegree, and a printer decodes each one it
+    # prints once, however many degrees it has entries in
+    from lsquare import monomials
+    from lsquare.randoms import SHARPNESS_IDEAL_TEXT, ideal_checks
+
+    calls = []
+    real = monomials.MonomialIdeal.decode
+
+    def spy(ideal, code):
+        calls.append(code)
+        return real(ideal, code)
+
+    monkeypatch.setattr(monomials.MonomialIdeal, "decode", spy)
+    sharp = monomials.parse_ideal(SHARPNESS_IDEAL_TEXT)[0]
+    assert all(c.passed for c in ideal_checks(sharp)) and calls == []
+    for argv in (
+        ["betti", "--power", "2", SHARPNESS_IDEAL_TEXT],
+        ["bounds", SHARPNESS_IDEAL_TEXT],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and calls == [], argv
+    code, out, _ = run(capsys, "betti", "--power", "2", "--format", "json", SHARPNESS_IDEAL_TEXT)
+    printed = {e["m"] for e in json.loads(out)["graded"]}
+    assert code == 0 and len(calls) == len(printed) == 95
+    # acefd has entries in degrees 1 and 2: 16 entries over 15 multidegrees
+    calls.clear()
+    code, out, _ = run(capsys, "betti", "--format", "json", "abc,aef,acd,cef,def,bcdf")
+    graded = json.loads(out)["graded"]
+    assert [e["d"] for e in graded if e["m"] == "acefd"] == [1, 2]
+    assert code == 0 and len(graded) == 16 and len(calls) == 15
+    calls.clear()
+    code, out, _ = run(capsys, "betti", "--graded", "--format", "csv", "abc,aef,acd,cef,def,bcdf")
+    assert code == 0 and len(out.splitlines()) == 2 + 15 and len(calls) == 15
+
+
+def test_the_l2_route_builds_no_power(monkeypatch, capsys):
+    # L2(I) carries the square it is labeled by, so betti and check-support
+    # build no power on that route; the Taylor route still builds it
+    from lsquare import monomials
+
+    calls = []
+    real = monomials.MonomialIdeal.power
+    monkeypatch.setattr(
+        monomials.MonomialIdeal, "power", lambda ideal, r: calls.append(r) or real(ideal, r)
+    )
+    for argv in (
+        ["betti", "--power", "2", "abe,bc,cdf,ad"],
+        ["check-support", "--power", "2", "--ideal", "abe,bc,cdf,ad"],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and calls == [], argv
+    code, _, _ = run(capsys, "betti", "--power", "2", "x^2,y")
+    assert code == 0 and calls == [2]
+
+
+def test_bounds_without_the_exact_row_on_p7(capsys):
+    # q = 7 is within the default --max-q; the face-count rows are closed
+    # forms over the deletion record and walk no lattice of the square
+    from oracles import pair_extremal_ideal
+
+    ideal = pair_extremal_ideal(7)
+    start = time.monotonic()
+    code, out, err = run(capsys, "bounds", "--no-exact", "--format", "csv", str(ideal))
+    assert time.monotonic() - start < 5
+    assert code == 0 and err == ""
+    rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(out))}
+    assert set(rows) == {"d", "taylor-largest", "taylor", "skeleton", "complex"}
+    assert rows["complex"] == rows["skeleton"]
 
 
 def test_a_clash_among_many_label_keys_is_found_without_pairwise_counting(tmp_path):

@@ -30,6 +30,7 @@ from lsquare.randoms import sample_ideal
 from oracles import (
     brute_faces,
     enumerated_f_vector,
+    graded_monomials,
     induced_subcomplex,
     l2_skeleton,
     minimalize_pairwise,
@@ -342,7 +343,7 @@ def test_pair_extremal_square_is_minimally_resolved_by_l2(q, field):
     faces = [f for f in brute_faces(lab.complex.facets) if f]
     labels = {(len(f) - 1, lab.face_label(f)) for f in faces}
     assert len({m for _, m in labels}) == len(faces) == PAIR_EXTREMAL_FACES[q]
-    assert beta.graded == dict.fromkeys(labels, 1)
+    assert graded_monomials(beta) == dict.fromkeys(labels, 1)
 
 
 def test_pair_extremal_p4_is_the_sharpness_fixture(sharpness_ideal):

@@ -32,6 +32,7 @@ from lsquare.randoms import random_squarefree_ideal, sample_ideal
 from oracles import (
     betti_upper_bounds,
     brute_faces,
+    graded_monomials,
     is_connected,
     restrict_divides,
     restrict_strict,
@@ -280,7 +281,7 @@ def test_support_homological_examples():
 
 def test_betti_numbers_figure_complex():
     lab = figure_complex()
-    assert betti_upper_bounds(lab).as_vector() == [6, 9, 4]
+    assert betti_upper_bounds(lab) == [6, 9, 4]
     table = betti_numbers(lab)
     assert table.as_vector() == [6, 8, 3]
     assert table.as_vector(5) == [6, 8, 3, 0, 0, 0]
@@ -307,7 +308,7 @@ def test_graded_carries_only_lattice_multidegrees():
     ideal, _ = parse_ideal("x,y,z")
     table = betti_numbers(taylor_complex(ideal))
     lattice = {ideal.decode(code) for code in lcm_lattice(ideal)}
-    assert all(m in lattice for (_d, m) in table.graded)
+    assert all(m in lattice for (_d, m) in graded_monomials(table))
 
 
 def test_betti_vanishes_off_the_lattice():
@@ -346,7 +347,7 @@ def test_oracle_equivalence_between_complexes():
             a = betti_numbers(labL, field)
             b = betti_numbers(taylor_complex(square), field)
             assert a.total == b.total
-            assert a.graded == b.graded
+            assert graded_monomials(a) == graded_monomials(b)
 
 
 FIVE = VariableTable(tuple("abcde"))
@@ -563,7 +564,7 @@ def test_field_round_trip_and_betti_json():
     obj = table.to_json()
     assert obj["total"] == {str(d): r for d, r in table.total.items()}
     assert {(e["d"], e["m"]): e["rank"] for e in obj["graded"]} == {
-        (d, str(m)): r for (d, m), r in table.graded.items()
+        (d, str(m)): r for (d, m), r in graded_monomials(table).items()
     }
 
 
