@@ -118,11 +118,11 @@ _L2_SOURCE = "L2 complex of the ideal"
 def _labeled_complex(args, ideal):
     """The complex named by --complex, else L2(I) for a square, else Taylor's,
     which only here is capped by --max-taylor.  L2(I) carries the square it
-    is labeled by, so only the other two build the power, I^1 being I."""
+    is labeled by, so only the other two ask for the power (I^1 is I)."""
     r = _check_power(ideal, args)
     if not args.complex and r == 2 and ideal.is_squarefree():
         return l2mod.l2_of_ideal(ideal)[0], _L2_SOURCE
-    target = ideal.power(r) if r > 1 else ideal
+    target = ideal.power(r)
     if args.complex:
         with open(args.complex) as fh:
             try:
@@ -179,7 +179,7 @@ def _betti_rows(table: BettiTable, max_d: int, graded: bool) -> list[tuple[str, 
 def cmd_power(args) -> int:
     ideal = _parse_ideal_arg(args)
     r = _check_power(ideal, args)
-    power = ideal.power(r) if r > 1 else ideal
+    power = ideal.power(r)
     if args.format == "json":
         print(
             json.dumps(

@@ -14,9 +14,9 @@ in dimension d-1 of the subcomplex of faces whose label strictly divides m.
 
 The walks take the complex alone and read its ideal's lattice points as the
 codes of `ideal.encoding`, one int each.  They cut each restriction out of
-the facet masks with one table per complex that maps each code bit to the
-vertices whose label code holds it, and decode only a support witness into
-a `Monomial`; a `BettiTable` keys its entries by code.
+the facet masks with one table per label lane, from each value the lane can
+hold to the vertices whose label lies within it: one lookup per lane.  They
+decode only a support witness; a `BettiTable` keys its entries by code.
 
 `labeled_to_json` and `labeled_from_json` are the one writer and reader of
 the complex file that `--complex` takes and `build-l2 --format json` writes.
@@ -82,26 +82,24 @@ class LabeledComplex:
         return m
 
     @cached_property
-    def _codes(self) -> tuple[list[int], list[tuple[int, int]], int]:
-        """The labels' codes, looked up in `ideal.encoding`, in sorted vertex
-        order as in `SimplicialComplex.facet_masks`; each code bit with the
-        mask of the vertices whose label code holds it; and the mask of each
-        lane's top bit.  The ideal's lattice points are ors of the same codes."""
+    def _codes(self) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
+        """The labels' codes from `ideal.encoding`, in the sorted vertex order
+        of `SimplicialComplex.facet_masks`, and per lane of nonzero width its
+        mask and a table from each value it can hold, in place, to the mask of
+        the vertices whose label's value in that lane lies within it."""
         gen_codes, lanes = self.ideal.encoding
         by_label = dict(zip(self.ideal.gens, gen_codes))
         codes = [by_label[self.labels[v]] for v in self.complex.ids]
-        tops = sum(1 << mask.bit_length() - 1 for mask, _ in lanes if mask)
-        table = [(1 << b, sum(1 << k for k, c in enumerate(codes) if c >> b & 1))
-                 for b in range(tops.bit_length())]
-        return codes, table, tops
+        tables = [(mask, {t: sum(1 << k for k, c in enumerate(codes) if not c & mask & ~t)
+                          for t in level}) for mask, level in lanes if mask]
+        return codes, tables
 
     def _divisor_mask(self, m: int) -> int:
         """V(m): the vertices whose label divides the lattice point with code
-        m, that is whose label code holds no bit outside m."""
+        m, that is whose label lies within m's value in every lane."""
         mask = (1 << len(self.complex.ids)) - 1
-        for bit, holders in self._codes[1]:
-            if not m & bit:
-                mask &= ~holders
+        for lane, table in self._codes[1]:
+            mask &= table[m & lane]
         return mask
 
     def _strict_members(self, m: int) -> list[int]:
@@ -117,16 +115,14 @@ class LabeledComplex:
         lcm(F) divides m/x_p with m_p > 0, it divides m and falls short of m
         in variable p.  A face label divides m' exactly when every vertex label
         of the face does, so X_{<=m'} is the subcomplex induced on V(m'),
-        spanned by the facets cut down to V(m').  On codes, lane p of m is
-        2^r - 1 for the rank r of m_p, and a label's exponent in p is at least
-        m_p iff its lane holds bit r - 1, m's top bit in lane p: a bit of m
-        that is its lane's highest or has no bit of m above it.  So V(m/x_p)
-        is V(m) less the vertices that hold that bit.
+        spanned by the facets cut down to V(m').  On codes, lane p of m holds
+        2^r - 1 for the rank r of m_p, r > 0 iff p is in supp(m), and rank
+        r - 1 is that shifted down one bit in the lane.  Ranks rise with
+        exponents, so a label's exponent in p is below m_p iff its rank is at
+        most r - 1: V(m/x_p) is V(m) cut by lane p's entry for rank r - 1.
         """
-        _, table, lane_tops = self._codes
         vm = self._divisor_mask(m)
-        tops = m & (~(m >> 1) | lane_tops)
-        below = [vm & ~holders for bit, holders in table if tops & bit]
+        below = [vm & table[(m & lane) >> 1 & lane] for lane, table in self._codes[1] if m & lane]
         return [fm & b for fm in self.complex.facet_masks for b in below]
 
 

@@ -226,13 +226,15 @@ class MonomialIdeal:
         return all(g.is_squarefree() for g in self.gens)
 
     def power(self, r: int) -> "MonomialIdeal":
-        """All products of r generators with repetition, minimalized.
+        """All products of r generators with repetition, minimalized; I^1 is I.
 
         Index multisets are enumerated in lexicographic order so the product of
         generators (i, j) with i <= j has a canonical position.
         """
         if r < 1:
             raise ValueError("power exponent must be >= 1")
+        if r == 1:
+            return self
         products = []
         for combo in itertools.combinations_with_replacement(range(self.q), r):
             m = self.gens[combo[0]]

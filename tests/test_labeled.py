@@ -226,6 +226,23 @@ def test_mask_restrictions_agree_with_the_oracles():
         assert_masks_match_oracles(taylor_complex(ideal), str(ideal))
     assert top > 2
 
+    # a variable that no generator uses has a lane of width zero: e at the
+    # bottom of Taylor complexes over a..e, and z on top of L2(I) over z..f
+    table = VariableTable(tuple("abcde"))
+    for _ in range(4):
+        gens = []
+        for _ in range(rng.randint(2, 6)):
+            exps = [rng.randint(0, 3) for _ in range(4)] + [0]
+            exps[rng.randrange(4)] = rng.randint(1, 3)
+            gens.append(Monomial(table, tuple(exps)))
+        ideal = MonomialIdeal.minimal(gens)
+        assert ideal.encoding[1][-1][0] == 0
+        assert_masks_match_oracles(taylor_complex(ideal), str(ideal))
+    ideal, _ = parse_ideal("abe,bc,cdf,ad", names=("z", "a", "b", "c", "d", "e", "f"))
+    lab, _ = l2_of_ideal(ideal)
+    assert lab.ideal.encoding[1][0][0] == 0
+    assert_masks_match_oracles(lab, "z unused")
+
 
 def test_support_quasitree_examples():
     I, _ = parse_ideal("abe,bc,cdf,ad")
